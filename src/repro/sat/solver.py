@@ -210,13 +210,25 @@ class Solver:
     # -- propagation ---------------------------------------------------------------
 
     def _propagate(self) -> _Clause | None:
-        """Two-watched-literal BCP; returns the conflicting clause or None."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
+        """Two-watched-literal BCP; returns the conflicting clause or None.
+
+        The hot loop of every solve, so literal values and enqueueing are
+        inlined: a literal ``l`` is false iff ``assign[l >> 1] == l & 1``
+        and true iff ``assign[l >> 1] == (l & 1) ^ 1``.
+        """
+        trail = self._trail
+        watches = self._watches
+        assign = self._assign
+        level = len(self._trail_lim)
+        qhead = self._qhead
+        propagations = 0
+        conflict: _Clause | None = None
+        while conflict is None and qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
             false_lit = lit ^ 1
-            watchers = self._watches[lit]
-            self._watches[lit] = []
+            watchers = watches[lit]
+            watches[lit] = []
             kept: list[_Clause] = []
             n = len(watchers)
             for idx in range(n):
@@ -226,28 +238,34 @@ class Solver:
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._lit_value(first) == 1:
+                first_sign = first & 1
+                if assign[first >> 1] == first_sign ^ 1:
                     kept.append(clause)
                     continue
                 # Look for a new watch.
-                found = False
                 for k in range(2, len(lits)):
-                    if self._lit_value(lits[k]) != 0:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[lits[1] ^ 1].append(clause)
-                        found = True
+                    other = lits[k]
+                    if assign[other >> 1] != other & 1:
+                        lits[1], lits[k] = other, lits[1]
+                        watches[other ^ 1].append(clause)
                         break
-                if found:
-                    continue
-                # Unit or conflict.
-                kept.append(clause)
-                self.stats["propagations"] += 1
-                if not self._enqueue(first, clause):
-                    kept.extend(watchers[idx + 1 :])
-                    self._watches[lit].extend(kept)
-                    return clause
-            self._watches[lit].extend(kept)
-        return None
+                else:
+                    # Unit or conflict.
+                    kept.append(clause)
+                    propagations += 1
+                    var = first >> 1
+                    if assign[var] == first_sign:
+                        kept.extend(watchers[idx + 1 :])
+                        conflict = clause
+                        break
+                    assign[var] = first_sign ^ 1
+                    self._level[var] = level
+                    self._reason[var] = clause
+                    trail.append(first)
+            watches[lit].extend(kept)
+        self._qhead = qhead
+        self.stats["propagations"] += propagations
+        return conflict
 
     # -- conflict analysis ----------------------------------------------------------
 
@@ -388,8 +406,15 @@ class Solver:
 
         ``conflict_budget`` bounds the number of conflicts; when exhausted the
         result is :data:`SatResult.UNKNOWN` (used by timeout-sensitive
-        counting loops).
+        counting loops).  Assumptions may name variables no clause mentions
+        yet; the variable tables grow as in :meth:`add_clause`.
         """
+        internal_assumptions: list[int] = []
+        for ext in assumptions:
+            if ext == 0:
+                raise ValueError("0 is not a literal")
+            self._ensure_vars(abs(ext))
+            internal_assumptions.append(self._to_internal(ext))
         if not self._ok:
             return SatResult.UNSAT
         self._backtrack(0)
@@ -397,7 +422,6 @@ class Solver:
             self._ok = False
             return SatResult.UNSAT
 
-        internal_assumptions = [self._to_internal(a) for a in assumptions]
         budget_start = self.stats["conflicts"]
         restart_count = 0
         conflicts_until_restart = 100 * _luby(restart_count + 1)
@@ -477,6 +501,18 @@ class Solver:
             for var in range(self.num_vars)
             if self._assign[var] != _UNASSIGNED
         }
+
+    def model_bits(self, variables: Sequence[int]) -> int:
+        """The last model on ``variables`` as a bitmask: bit ``i`` is ``variables[i]``.
+
+        Unassigned variables read as false, as in :func:`enumerate_models`.
+        """
+        assign = self._assign
+        bits = 0
+        for i, var in enumerate(variables):
+            if var <= self.num_vars and assign[var - 1] == 1:
+                bits |= 1 << i
+        return bits
 
     def model_literals(self, variables: Iterable[int] | None = None) -> list[int]:
         """Model as a list of DIMACS literals, optionally restricted."""

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.counting import (
     ApproxMCCounter,
@@ -17,6 +17,7 @@ from repro.counting import (
     exact_count,
 )
 from repro.counting.approxmc import (
+    CellSearch,
     XorConstraint,
     compute_rounds,
     compute_threshold,
@@ -27,6 +28,8 @@ from repro.counting.exact import CounterBudgetExceeded
 from repro.counting.oracles import bell_number, fibonacci
 from repro.logic import CNF, Var, tseitin_cnf
 from repro.logic.formula import iter_assignments
+from repro.sat import Solver, count_models, enumerate_models
+from repro.spec import SymmetryBreaking, get_property, translate
 
 from tests.test_sat_solver import random_cnf
 
@@ -210,6 +213,128 @@ class TestApproxMC:
         epsilon = 0.8
         estimate = ApproxMCCounter(epsilon=epsilon, delta=0.2, seed=7).count(cnf)
         assert truth / (1 + epsilon) <= estimate <= truth * (1 + epsilon)
+
+    @pytest.mark.parametrize(
+        ("name", "symbr", "plain"),
+        [
+            ("Function", 31, 256),
+            ("Injective", 30, 256),
+            ("NonStrictOrder", 34, 216),
+            ("StrictOrder", 34, 220),
+        ],
+    )
+    def test_seed0_table1_estimates_are_pinned(self, name, symbr, plain):
+        # Table 1's Est columns at scope 4: symbr then plain on one counter,
+        # so the second estimate also pins the RNG draw order of the first.
+        prop = get_property(name)
+        counter = ApproxMCCounter(seed=0)
+        symmetry = SymmetryBreaking("adjacent")
+        assert counter.count(translate(prop, 4, symmetry=symmetry).cnf) == symbr
+        assert counter.count(translate(prop, 4).cnf) == plain
+
+
+def _fresh_cell_size(cnf, projection, xors, m, threshold):
+    """The non-incremental reference: copy, encode the prefix, enumerate."""
+    hashed = cnf.copy()
+    for constraint in xors[:m]:
+        encode_xor(hashed, constraint)
+    return count_models(hashed, projection=projection, limit=threshold)
+
+
+def _model_bits(model, projection):
+    return sum(1 << i for i, v in enumerate(projection) if model[v])
+
+
+@st.composite
+def cell_search_case(draw):
+    num_vars, clauses = draw(random_cnf(max_vars=6, max_clauses=8))
+    projection = sorted(
+        draw(st.sets(st.integers(min_value=1, max_value=num_vars), min_size=1))
+    )
+    cnf = CNF(clauses, num_vars=num_vars, projection=projection)
+    xors = draw(
+        st.lists(
+            st.builds(
+                XorConstraint,
+                st.lists(st.sampled_from(projection), unique=True).map(tuple),
+                st.booleans(),
+            ),
+            max_size=len(projection) + 1,
+        )
+    )
+    probes = draw(
+        st.lists(st.integers(min_value=0, max_value=len(xors)), min_size=1, max_size=6)
+    )
+    threshold = draw(st.integers(min_value=1, max_value=8))
+    models = [
+        _model_bits(model, projection)
+        for model in enumerate_models(cnf, projection=projection)
+    ]
+    pool = draw(st.lists(st.sampled_from(models), unique=True) if models else st.just([]))
+    return cnf, projection, xors, probes, threshold, pool
+
+
+class TestCellSearch:
+    """The incremental cell size equals a fresh capped enumeration."""
+
+    @given(cell_search_case())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fresh_enumeration(self, case):
+        cnf, projection, xors, probes, threshold, pool = case
+        search = CellSearch(cnf, projection, xors, pool, threshold)
+        for m in probes:
+            expected = _fresh_cell_size(cnf, projection, xors, m, threshold)
+            assert search.size(m) == expected
+        # The pool gains only new, genuine projected models.
+        models = {
+            _model_bits(model, projection)
+            for model in enumerate_models(cnf, projection=projection)
+        }
+        assert len(pool) == len(set(pool))
+        assert set(pool) <= models
+
+    def test_m0_is_the_capped_model_count(self):
+        cnf = CNF([[1, 2], [-3, 4]], num_vars=5, projection=range(1, 6))
+        pool: list[int] = []
+        search = CellSearch(cnf, list(range(1, 6)), (), pool, threshold=100)
+        assert search.size(0) == brute_force_count(cnf) == len(pool)
+        capped = CellSearch(cnf, list(range(1, 6)), (), [], threshold=5)
+        assert capped.size(0) == 5
+
+    def test_empty_xor_with_rhs_true_empties_the_cell(self):
+        cnf = CNF(num_vars=3, projection=range(1, 4))
+        xors = [XorConstraint((1,), True), XorConstraint((), True), XorConstraint((2,), False)]
+        search = CellSearch(cnf, [1, 2, 3], xors, [], threshold=100)
+        assert search.size(1) == 4
+        assert search.size(2) == 0
+        assert search.size(3) == 0
+        assert search.size(1) == 4  # the inactive hash constrains nothing
+
+    def test_pool_at_threshold_answers_without_solving(self, monkeypatch):
+        projection = list(range(1, 7))
+        cnf = CNF(num_vars=6, projection=projection)
+        xors = [XorConstraint((1, 2), False)]
+        pool = list(range(64))  # every model: 32 lie in cell(1)
+        search = CellSearch(cnf, projection, xors, pool, threshold=20)
+
+        def no_solving(*args, **kwargs):
+            raise AssertionError("the pool alone decides a saturated cell")
+
+        monkeypatch.setattr(Solver, "solve", no_solving)
+        assert search.size(1) == 20
+        assert search.size(0) == 20
+        assert pool == list(range(64))
+
+    def test_probes_share_models_across_nested_cells(self):
+        projection = list(range(1, 9))
+        cnf = CNF(num_vars=8, projection=projection)
+        xors = [XorConstraint((1, 3, 5), True), XorConstraint((2, 4), False)]
+        pool: list[int] = []
+        search = CellSearch(cnf, projection, xors, pool, threshold=200)
+        assert search.size(2) == 64
+        # cell(1) ⊇ cell(2): only its 64 remaining models are new.
+        assert search.size(1) == 128
+        assert len(pool) == 128
 
 
 class TestOracles:

@@ -30,6 +30,7 @@ from repro.counting import (
     count_parallel,
     signature_key,
 )
+from repro.counting.approxmc import CellSearch
 from repro.counting.parallel import cnf_to_payload, payload_to_cnf
 from repro.counting.store import STORE_FILENAME
 from repro.logic import CNF
@@ -332,13 +333,13 @@ class TestApproxMCFrontier:
 
     def _spy(self, monkeypatch):
         calls: list[int] = []
-        original = ApproxMCCounter._cell_size
+        original = CellSearch.size
 
-        def recording(self, cnf, projection, xors, m):
+        def recording(self, m):
             calls.append(m)
-            return original(self, cnf, projection, xors, m)
+            return original(self, m)
 
-        monkeypatch.setattr(ApproxMCCounter, "_cell_size", recording)
+        monkeypatch.setattr(CellSearch, "size", recording)
         return calls
 
     def test_no_duplicate_cell_enumeration_in_a_round(self, monkeypatch):
@@ -348,7 +349,9 @@ class TestApproxMCFrontier:
         cnf = CNF(num_vars=7, projection=range(1, 8))
         counter = ApproxMCCounter(seed=5, rounds=1)
         counter.count(cnf)
-        assert calls, "hashing rounds never ran"
+        # calls[0] is the initial thresh check (m = 0, no hashes).
+        assert calls[0] == 0
+        assert calls[1:], "hashing rounds never ran"
         # One round: the walk-down may probe several distinct m values but
         # must never enumerate the same cell twice (the seed re-ran m=1).
         assert len(calls) == len(set(calls))

@@ -94,6 +94,35 @@ class TestAssumptions:
         solver.add_clause([-2])
         assert solver.solve() is SatResult.UNSAT
 
+    def test_assumption_on_unseen_variable_grows_the_tables(self):
+        # Used to raise IndexError: variable 5 was beyond the tables.
+        solver = Solver(2)
+        solver.add_clause([1, 2])
+        assert solver.solve(assumptions=[5]) is SatResult.SAT
+        assert solver.num_vars == 5
+        assert solver.model()[5] is True
+        assert solver.solve(assumptions=[-5, -1]) is SatResult.SAT
+        assert solver.model()[2] is True
+
+    def test_zero_assumption_is_rejected(self):
+        # Used to map to internal index -1 and constrain the last variable.
+        solver = Solver(2)
+        with pytest.raises(ValueError):
+            solver.solve(assumptions=[0])
+        with pytest.raises(ValueError):
+            solver.solve(assumptions=[1, 0])
+        assert solver.solve(assumptions=[-2]) is SatResult.SAT
+
+    def test_model_bits_follow_the_variable_order(self):
+        solver = Solver(3)
+        solver.add_clause([1])
+        solver.add_clause([-2])
+        solver.add_clause([3])
+        assert solver.solve() is SatResult.SAT
+        assert solver.model_bits([1, 2, 3]) == 0b101
+        assert solver.model_bits([3, 2]) == 0b01
+        assert solver.model_bits([]) == 0
+
 
 class TestConflictBudget:
     def test_budget_returns_unknown_on_hard_instance(self):
