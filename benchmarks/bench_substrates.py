@@ -11,7 +11,6 @@ import pytest
 from repro.core.tree2cnf import label_cubes, label_region_cnf, tree_paths_formula
 from repro.counting import (
     ApproxMCCounter,
-    BDDCounter,
     CompiledCounter,
     CompositeCounter,
     CountingEngine,
@@ -88,12 +87,6 @@ class TestCounterAblation:
             iterations=1,
         )
         assert exact / 1.8 <= estimate <= exact * 1.8
-
-    def test_bdd_counter_on_tree_region(self, benchmark, fitted_tree):
-        region = label_region_cnf(fitted_tree, 1, 16)
-        exact = ExactCounter().count(region)
-        count = benchmark(lambda: BDDCounter().count(region))
-        assert count == exact
 
     def test_compiled_conditioning_on_tree_region(self, benchmark, fitted_tree):
         # The compile-once-query-forever query cost: the circuit is built

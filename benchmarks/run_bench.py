@@ -3,8 +3,7 @@
 
 Runs the ``TestCounterAblation`` benchmarks of ``bench_substrates.py``
 through pytest-benchmark, extracts the per-backend median times, runs the
-counting-service ablations (1-vs-N worker fan-out on the AccMC
-product-mode batch, warm-vs-cold disk cache on a Table 1 slice, shared
+counting-service ablations (warm-vs-cold disk cache on a Table 1 slice, shared
 component cache on the same-φ/many-regions AccMC ratio sweep, cold-run
 vs warm-restart component *spill* on the per-path variant of that sweep,
 cold-compile vs warm-conditioned circuit counting on a DiffMC-shaped
@@ -46,7 +45,7 @@ import sys
 import tempfile
 from pathlib import Path
 from statistics import median
-from time import perf_counter, sleep
+from time import perf_counter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_counting.json"
@@ -57,7 +56,6 @@ BACKENDS = {
     "test_legacy_exact_counter": "exact-legacy",
     "test_counting_engine_warm": "engine-warm",
     "test_approxmc_counter": "approxmc",
-    "test_bdd_counter_on_tree_region": "bdd",
     "test_compiled_conditioning_on_tree_region": "compiled-conditioning",
     "test_composite_router": "composite",
     "test_formula_brute_counter": "formula-brute",
@@ -66,7 +64,8 @@ BACKENDS = {
 INSTANCE = (
     "PartialOrder at scope 4 with adjacent symmetry breaking "
     "(translate(...).cnf: 290 vars, 933 clauses, 16 projected) — "
-    "except 'bdd', which counts a trained tree's label region"
+    "except 'compiled-conditioning', which conditions a trained tree's "
+    "label region"
 )
 
 
@@ -104,78 +103,6 @@ def run_benchmarks() -> dict[str, dict[str, float]]:
 
 
 # -- counting-service ablations ---------------------------------------------------------
-
-
-def _accmc_product_batch(scope: int):
-    """The four confusion problems AccMC product mode hands to ``count_many``.
-
-    Built exactly as :meth:`repro.core.accmc.AccMC._evaluate_by_cnf` does:
-    a decision tree trained on the property's own dataset, its true/false
-    label regions conjoined with φ and ¬φ.
-    """
-    from repro.core.pipeline import MCMLPipeline
-    from repro.core.tree2cnf import label_region_cnf
-    from repro.spec import SymmetryBreaking, get_property, translate
-
-    prop = get_property("PartialOrder")
-    symmetry = SymmetryBreaking()
-    pipeline = MCMLPipeline(seed=0)
-    dataset = pipeline.make_dataset(prop, scope, symmetry=symmetry)
-    train, _ = dataset.split(0.75, rng=0)
-    tree = pipeline.train("DT", train)
-    m = scope * scope
-    paths = tree.decision_paths()
-    true_region = label_region_cnf(paths, 1, m)
-    false_region = label_region_cnf(paths, 0, m)
-    phi = translate(prop, scope, symmetry=symmetry).cnf
-    not_phi = translate(prop, scope, symmetry=symmetry, negate=True).cnf
-    return [
-        phi.conjoin(true_region),
-        not_phi.conjoin(true_region),
-        phi.conjoin(false_region),
-        not_phi.conjoin(false_region),
-    ]
-
-
-def workers_ablation(workers: int, scope: int) -> dict:
-    """1-vs-N-worker ``count_many`` on the AccMC product-mode batch.
-
-    Bit-identity between the serial and parallel results is enforced hard;
-    the speedup is reported as measured.  On a single-core machine the pool
-    overhead makes the parallel run *slower* — ``cpu_count`` is recorded so
-    the number stays interpretable across machines.
-    """
-    from repro.counting import CountingEngine, EngineConfig
-
-    batch = _accmc_product_batch(scope)
-    started = perf_counter()
-    serial = [
-        r.value
-        for r in CountingEngine(config=EngineConfig(workers=1)).solve_many(batch)
-    ]
-    serial_s = perf_counter() - started
-    started = perf_counter()
-    parallel = [
-        r.value
-        for r in CountingEngine(config=EngineConfig(workers=workers)).solve_many(batch)
-    ]
-    parallel_s = perf_counter() - started
-    if serial != parallel:
-        raise SystemExit(
-            f"parallel counts diverge from serial: {parallel} != {serial}"
-        )
-    return {
-        "instance": (
-            f"AccMC product-mode batch: PartialOrder scope {scope}, adjacent "
-            "symmetry breaking, trained DT regions (4 counting problems)"
-        ),
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "speedup_x": round(serial_s / parallel_s, 2),
-        "bit_identical": True,
-    }
 
 
 def component_cache_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
@@ -882,161 +809,6 @@ def cluster_sharding_ablation(scope: int, property_names: tuple[str, ...]) -> di
     }
 
 
-def solver_lanes_ablation(
-    scope: int,
-    property_names: tuple[str, ...],
-    delay: float = 0.3,
-    slow_problems: int = 4,
-    reps: int = 3,
-) -> dict:
-    """1 vs 2 solver lanes on one daemon: overlap proof + real medians.
-
-    Two legs against in-process :class:`CountingServer` instances (PR 10's
-    ``mcml serve --solver-threads``):
-
-    * **delay leg** — an exact backend behind a fixed ``delay`` sleep
-      (sleep releases the GIL, so lane overlap is measurable even on one
-      core).  ``slow_problems`` *distinct* slow requests are submitted by
-      that many concurrent clients to a 1-lane and then a 2-lane daemon;
-      the 2-lane wall time must land under 0.8x the 1-lane time — the
-      acceptance bar, enforced hard — and both legs must be bit-identical
-      to a bare :class:`ExactCounter`.
-    * **real leg** — the Table-1-shaped batch (each property's symbr +
-      plain CNF at ``scope``) through fresh 1-lane and 2-lane daemons,
-      median of ``reps`` cold runs each.  Pure-Python exact counting is
-      GIL-bound, so no speedup is *enforced* here; the medians and
-      ``cpu_count`` are recorded so the ratio stays interpretable (a
-      free-threaded or C-accelerated backend is where this leg moves).
-    """
-    import threading
-
-    from repro.core.session import MCMLSession
-    from repro.counting import CountingEngine, ExactCounter
-    from repro.counting.service import CountingServer, ServiceClient
-    from repro.logic import CNF
-    from repro.spec import SymmetryBreaking, get_property, translate
-
-    class _SleepyExact(ExactCounter):
-        def __init__(self, seconds: float) -> None:
-            super().__init__()
-            self._seconds = seconds
-
-        def count(self, cnf: CNF) -> int:
-            sleep(self._seconds)
-            return super().count(cnf)
-
-    def timed_run(session_factory, problems, clients) -> tuple[float, list]:
-        """Wall time of ``clients`` concurrent clients splitting ``problems``."""
-        server = CountingServer(
-            session_factory(),
-            session_factory=session_factory,
-            solver_threads=session_factory.lanes,
-            host="127.0.0.1",
-            port=0,
-            max_queue=len(problems) + 8,
-            max_inflight_per_client=len(problems) + 8,
-        )
-        host, port = server.start()
-        values: list = [None] * len(problems)
-        errors: list[str] = []
-
-        def worker(offset: int) -> None:
-            client = ServiceClient(host, port, retries=2, request_timeout=120)
-            try:
-                for index in range(offset, len(problems), clients):
-                    values[index] = client.solve(problems[index]).value
-            except Exception as exc:  # noqa: BLE001 - a hard bench failure
-                errors.append(f"client {offset}: {type(exc).__name__}: {exc}")
-            finally:
-                client.close()
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(clients)
-        ]
-        started = perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = perf_counter() - started
-        server.drain()
-        if errors:
-            raise SystemExit(f"solver-lanes clients failed: {errors}")
-        return elapsed, values
-
-    def factory_for(lanes: int, make_session):
-        make_session.lanes = lanes
-        return make_session
-
-    # -- delay leg: distinct slow problems, overlap is the whole point.
-    slow_batch = [
-        CNF(num_vars=3, clauses=[(var,)]) for var in range(1, slow_problems + 1)
-    ]
-    slow_truths = [ExactCounter().count(problem) for problem in slow_batch]
-    lane_times: dict[int, float] = {}
-    for lanes in (1, 2):
-        factory = factory_for(
-            lanes,
-            lambda: MCMLSession(engine=CountingEngine(_SleepyExact(delay))),
-        )
-        elapsed, values = timed_run(factory, slow_batch, clients=slow_problems)
-        if values != slow_truths:
-            raise SystemExit(
-                f"{lanes}-lane delay leg diverged: {values} != {slow_truths}"
-            )
-        lane_times[lanes] = elapsed
-    overlap_ratio = lane_times[2] / lane_times[1]
-    if overlap_ratio >= 0.8:
-        raise SystemExit(
-            f"no lane overlap: 2 lanes took {lane_times[2]:.2f}s vs "
-            f"{lane_times[1]:.2f}s on 1 lane (ratio {overlap_ratio:.2f}, "
-            "acceptance bar < 0.8)"
-        )
-
-    # -- real leg: GIL-bound exact counting, medians recorded not gated.
-    symmetry = SymmetryBreaking()
-    batch = []
-    for name in property_names:
-        prop = get_property(name)
-        batch.append(translate(prop, scope, symmetry=symmetry).cnf)
-        batch.append(translate(prop, scope).cnf)
-    truths = [ExactCounter().count(problem) for problem in batch]
-    medians: dict[int, float] = {}
-    for lanes in (1, 2):
-        factory = factory_for(lanes, lambda: MCMLSession(backend="exact"))
-        times = []
-        for _ in range(reps):
-            elapsed, values = timed_run(factory, batch, clients=4)
-            if values != truths:
-                raise SystemExit(
-                    f"{lanes}-lane real leg diverged: {values} != {truths}"
-                )
-            times.append(elapsed)
-        medians[lanes] = median(times)
-
-    return {
-        "instance": (
-            f"solver lanes: {slow_problems} distinct {delay}s-delay requests "
-            f"from {slow_problems} concurrent clients through a 1- vs 2-lane "
-            f"daemon (overlap leg), then symbr + plain CNFs for "
-            f"{len(property_names)} properties at scope {scope} "
-            f"({len(batch)} problems, 4 clients, median of {reps} cold runs)"
-        ),
-        "delay_s": delay,
-        "slow_problems": slow_problems,
-        "one_lane_delay_s": round(lane_times[1], 4),
-        "two_lane_delay_s": round(lane_times[2], 4),
-        "overlap_ratio": round(overlap_ratio, 3),
-        "problems": len(batch),
-        "reps": reps,
-        "cpu_count": os.cpu_count(),
-        "one_lane_median_s": round(medians[1], 4),
-        "two_lane_median_s": round(medians[2], 4),
-        "real_ratio_x": round(medians[1] / medians[2], 2),
-        "bit_identical": True,
-    }
-
-
 def store_roundtrip_bench(entries: int = 2000) -> dict:
     """CountStore micro-bench: buffered single puts, then a batch read-back.
 
@@ -1125,7 +897,6 @@ def cache_ablation(scope: int, property_names: tuple[str, ...]) -> dict:
 
 
 def _print_ablations(
-    workers_result: dict,
     cache_result: dict,
     component_result: dict | None = None,
     store_result: dict | None = None,
@@ -1133,14 +904,7 @@ def _print_ablations(
     conditioning_result: dict | None = None,
     service_result: dict | None = None,
     cluster_result: dict | None = None,
-    lanes_result: dict | None = None,
 ) -> None:
-    print(
-        f"  workers fan-out: serial {workers_result['serial_s']:.3f} s, "
-        f"{workers_result['workers']} workers {workers_result['parallel_s']:.3f} s "
-        f"({workers_result['speedup_x']}x on {workers_result['cpu_count']} cpu(s)), "
-        "bit-identical"
-    )
     print(
         f"  disk cache: cold {cache_result['cold_s']:.3f} s "
         f"({cache_result['cold_backend_counts']} backend counts), "
@@ -1198,18 +962,6 @@ def _print_ablations(
             f"{cluster_result['cluster_backend_calls']} backend calls for "
             f"{cluster_result['unique_signatures']} signatures, bit-identical"
         )
-    if lanes_result is not None:
-        print(
-            f"  solver lanes: {lanes_result['slow_problems']} distinct "
-            f"{lanes_result['delay_s']}s requests — 1 lane "
-            f"{lanes_result['one_lane_delay_s']:.3f} s, 2 lanes "
-            f"{lanes_result['two_lane_delay_s']:.3f} s (overlap ratio "
-            f"{lanes_result['overlap_ratio']}); real batch medians 1 lane "
-            f"{lanes_result['one_lane_median_s']:.3f} s, 2 lanes "
-            f"{lanes_result['two_lane_median_s']:.3f} s "
-            f"({lanes_result['real_ratio_x']}x, GIL-bound, on "
-            f"{lanes_result['cpu_count']} cpu(s)), bit-identical"
-        )
     if store_result is not None:
         print(
             f"  store round-trip: {store_result['entries']} entries, "
@@ -1249,7 +1001,7 @@ def backend_smoke(name: str, scope: int = 3) -> dict:
         instance = f"{prop.name} CNF at scope {scope}"
         value = backend.count(translate(prop, scope).cnf)
     else:
-        # Auxiliary-free backends (OBDD) serve decision-tree regions.
+        # Auxiliary-free backends (compiled) serve decision-tree regions.
         pipeline = MCMLPipeline(seed=0)
         dataset = pipeline.make_dataset(prop, scope)
         train, _ = dataset.split(0.75, rng=0)
@@ -1372,10 +1124,6 @@ def main() -> None:
         "--output", type=Path, default=OUTPUT, help="where to write the JSON"
     )
     parser.add_argument(
-        "--workers", type=int, default=4,
-        help="worker count for the fan-out ablation (default 4)",
-    )
-    parser.add_argument(
         "--quick", action="store_true",
         help="smoke mode: ablations on small instances, perf-regression "
         "gate vs the last history entry, no JSON update",
@@ -1383,7 +1131,7 @@ def main() -> None:
     parser.add_argument(
         "--backend", action="append", default=None, metavar="NAME",
         help="additionally smoke a registered backend by name against "
-        "ground truth; repeatable (CI smokes bdd and compiled so "
+        "ground truth; repeatable (CI smokes compiled so "
         "non-default backends cannot rot)",
     )
     parser.add_argument(
@@ -1406,7 +1154,6 @@ def main() -> None:
 
     if args.quick:
         print("quick smoke: counting-service ablations on reduced instances")
-        workers_result = workers_ablation(workers=2, scope=3)
         cache_result = cache_ablation(scope=3, property_names=_ablation_properties()[:4])
         component_result = component_cache_ablation(
             scope=3, fractions=(0.75, 0.5, 0.25)
@@ -1425,15 +1172,10 @@ def main() -> None:
         cluster_result = cluster_sharding_ablation(
             scope=3, property_names=_ablation_properties()[:8]
         )
-        lanes_result = solver_lanes_ablation(
-            scope=3, property_names=_ablation_properties()[:4],
-            delay=0.2, slow_problems=2, reps=1,
-        )
         store_result = store_roundtrip_bench(entries=500)
         _print_ablations(
-            workers_result, cache_result, component_result, store_result,
+            cache_result, component_result, store_result,
             spill_result, conditioning_result, service_result, cluster_result,
-            lanes_result,
         )
         for name in args.backend or ():
             backend_smoke(name)
@@ -1449,14 +1191,12 @@ def main() -> None:
                 "exact_median_s": exact_median,
                 "gate_failure": gate_failure,
                 "ablations": {
-                    "workers_fanout": workers_result,
                     "disk_cache": cache_result,
                     "component_cache": component_result,
                     "component_spill": spill_result,
                     "compiled_conditioning": conditioning_result,
                     "service_throughput": service_result,
                     "cluster_sharding": cluster_result,
-                    "solver_lanes": lanes_result,
                     "store_roundtrip": store_result,
                 },
             }
@@ -1470,7 +1210,6 @@ def main() -> None:
     backends = run_benchmarks()
     if "exact" not in backends:
         raise SystemExit("no exact-counter benchmark result found")
-    workers_result = workers_ablation(workers=args.workers, scope=4)
     cache_result = cache_ablation(scope=4, property_names=_ablation_properties())
     component_result = component_cache_ablation(
         scope=4,
@@ -1497,9 +1236,6 @@ def main() -> None:
     cluster_result = cluster_sharding_ablation(
         scope=4, property_names=_ablation_properties()
     )
-    lanes_result = solver_lanes_ablation(
-        scope=4, property_names=_ablation_properties()[:8]
-    )
     store_result = store_roundtrip_bench()
 
     document = {"instance": INSTANCE, "unit": "seconds", "history": []}
@@ -1509,14 +1245,12 @@ def main() -> None:
     document["unit"] = "seconds"
     document["backends"] = backends
     document["ablations"] = {
-        "workers_fanout": workers_result,
         "disk_cache": cache_result,
         "component_cache": component_result,
         "component_spill": spill_result,
         "compiled_conditioning": conditioning_result,
         "service_throughput": service_result,
         "cluster_sharding": cluster_result,
-        "solver_lanes": lanes_result,
         "store_roundtrip": store_result,
     }
     for name in args.backend or ():
@@ -1536,8 +1270,6 @@ def main() -> None:
             "backend": "exact",
             "capabilities": backend_capabilities("exact").as_dict(),
             "exact_median_s": backends["exact"]["median_s"],
-            "workers_fanout_speedup_x": workers_result["speedup_x"],
-            "workers_fanout_cpu_count": workers_result["cpu_count"],
             "warm_cache_backend_counts": cache_result["warm_backend_counts"],
             "warm_cache_speedup_x": cache_result["speedup_x"],
             "component_cache_speedup_x": component_result["speedup_x"],
@@ -1547,9 +1279,7 @@ def main() -> None:
             "service_coalesce_backend_calls": service_result["coalesce_backend_calls"],
             "cluster_sharding_speedup_x": cluster_result["speedup_x"],
             "cluster_shard_count": cluster_result["shard_count"],
-            "solver_lanes_overlap_ratio": lanes_result["overlap_ratio"],
-            "solver_lanes_real_ratio_x": lanes_result["real_ratio_x"],
-            "solver_lanes_cpu_count": lanes_result["cpu_count"],
+            "cluster_sharding_cpu_count": cluster_result["cpu_count"],
             "store_roundtrip_puts_per_s": store_result["puts_per_s"],
         }
     )
@@ -1563,9 +1293,8 @@ def main() -> None:
     for label, stats in sorted(backends.items()):
         print(f"  {label:>14}: median {stats['median_s'] * 1000:8.2f} ms")
     _print_ablations(
-        workers_result, cache_result, component_result, store_result,
+        cache_result, component_result, store_result,
         spill_result, conditioning_result, service_result, cluster_result,
-        lanes_result,
     )
 
 

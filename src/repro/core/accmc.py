@@ -25,7 +25,7 @@ Two region-counting *routes*, orthogonal to the mode:
 * ``region_strategy="conjunction"`` (default) — each region count is one
   problem, the region CNF conjoined with φ (Håstad's
   one-clause-per-opposite-path construction).
-* ``region_strategy="per-path"`` — each region count decomposes into its
+* ``region_strategy="per-path"`` — each region count splits into its
   disjoint path cubes, ``mc(φ∧τ) = Σ_paths mc(φ∧path)``: the engine
   expands a ``CountRequest(strategy="per-path")`` into one φ-plus-unit-cube
   sub-problem per path.  Unit cubes propagate in one sweep, and paths
@@ -182,7 +182,7 @@ class AccMC:
         # All counting goes through a shared memoizing engine: repeated
         # regions, translations and counts (across evaluate() calls, rows
         # of a table, or tables sharing a pipeline) are computed once.
-        # ``config`` (worker fan-out, disk cache) applies only when a new
+        # ``config`` (disk cache, fallback) applies only when a new
         # engine is built here; a passed-in engine keeps its own.
         self.engine = engine if engine is not None else shared_engine(counter, config)
         self.counter = self.engine
@@ -236,7 +236,7 @@ class AccMC:
         if not caps.counts_formulas and not caps.supports_projection:
             # Fail at the routing layer, not deep inside the backend: the
             # CNF route conjoins Tseitin formulas with auxiliaries, which
-            # projection-incapable backends (bdd, compiled) cannot serve.
+            # projection-incapable backends (compiled) cannot serve.
             # ``compiled``'s cube conditioning is consumed by DiffMC and
             # per-path region counting, whose bases are auxiliary-free.
             raise ValueError(

@@ -15,7 +15,7 @@ any counting backend applies.
 Two region constructions are negotiated against the backend, exactly as in
 :class:`repro.core.accmc.AccMC`: the default ``conjunction`` strategy
 counts the four clause-union CNFs above, while ``region_strategy=
-"per-path"`` (exact backends only) decomposes each count as
+"per-path"`` (exact backends only) splits each count as
 ``Σ_paths mc(region₁ ∧ path₂)`` over the second tree's path cubes.  On a
 ``conditions_cubes`` backend (``compiled``) the per-path route compiles
 just *two* circuits — τ₁'s and ψ₁'s regions — and answers all four

@@ -7,8 +7,8 @@ engine/config/store plumbing by hand; a session owns that plumbing once:
 
 * one :class:`~repro.counting.engine.CountingEngine` over a backend chosen
   by registered name (:func:`repro.counting.api.make_backend`), carrying
-  the scaling knobs (worker fan-out, disk-persistent count and compilation
-  stores, shared component cache);
+  the persistence knobs (disk-persistent count and compilation stores,
+  shared component cache) and the fallback backend;
 * one :class:`~repro.core.pipeline.MCMLPipeline` for dataset generation
   and model training, sharing the session seed;
 * the metric entry points — :meth:`accmc`, :meth:`diffmc`, :meth:`bnnmc`,
@@ -20,26 +20,24 @@ Quickstart::
 
     from repro.core.session import MCMLSession
 
-    with MCMLSession(backend="exact", workers=4, cache_dir=".mcml-cache") as s:
+    with MCMLSession(backend="exact", cache_dir=".mcml-cache") as s:
         data = s.pipeline.make_dataset("PartialOrder", 4)
         train, test = data.split(0.10, rng=1)
         tree = s.pipeline.train("DT", train)
         result = s.accmc(tree, "PartialOrder", 4)   # whole-space metrics
         print(result.accuracy, s.engine.stats.as_dict())
 
-Closing the session (or leaving the ``with`` block) releases the worker
-pool and flushes the disk stores; every consumer built through the session
-shares its caches, which is the point.
+Closing the session (or leaving the ``with`` block) flushes and closes
+the disk stores; every consumer built through the session shares its
+caches, which is the point.
 
 Thread-safety: the session is as thread-safe as its engine — ``solve``,
 ``solve_many``, ``count`` and the metric entry points may be called from
-multiple threads concurrently (the counting service daemon does exactly
-this), because :class:`~repro.counting.engine.CountingEngine` serializes
-every solve under one re-entrant lock.  Concurrent callers get
-bit-identical counts and a consistent
-:class:`~repro.counting.api.EngineStats`; they do not get parallelism —
-fan-out lives *inside* the engine (``workers``), not across calling
-threads.
+multiple threads concurrently, because
+:class:`~repro.counting.engine.CountingEngine` serializes every solve
+under one re-entrant lock.  Concurrent callers get bit-identical counts
+and a consistent :class:`~repro.counting.api.EngineStats`; they do not
+get parallelism — counting is single-threaded within a process.
 """
 
 from __future__ import annotations
@@ -73,13 +71,14 @@ class MCMLSession(CountingSurface):
     ----------
     backend:
         Registered backend name (``exact``, ``legacy``, ``brute``,
-        ``bdd``, ``compiled``, ``approxmc`` or an alias); ``backend_opts``
-        are passed to the factory.  Ignored when ``engine`` is supplied.
+        ``compiled``, ``approxmc``, ``composite`` or an alias);
+        ``backend_opts`` are passed to the factory.  Ignored when
+        ``engine`` is supplied.
     engine:
         An existing :class:`CountingEngine` to adopt instead of building
         one — the session then shares (and on ``close()`` releases) it.
-    workers / cache_dir / component_cache_mb / component_spill / circuit_store:
-        The :class:`EngineConfig` scaling knobs (``component_spill``
+    cache_dir / component_cache_mb / component_spill / circuit_store:
+        The :class:`EngineConfig` persistence knobs (``component_spill``
         persists the component cache under ``cache_dir`` so component
         work survives session restarts; ``circuit_store`` persists the
         compiled circuits of a ``conditions_cubes`` backend the same way,
@@ -87,21 +86,11 @@ class MCMLSession(CountingSurface):
         Both on by default; ``0``/``False`` opts out).
     fallback / fallback_opts:
         The degradation ladder: a registered backend name failed problems
-        (budget, deadline, lost worker) are re-counted on, with explicit
+        (budget, deadline) are re-counted on, with explicit
         ``source="fallback"`` provenance on the results — e.g.
         ``fallback="approxmc"`` trades exactness for an answer when the
         exact backend cannot finish in budget.  ``None`` (default)
         disables it.  See :class:`EngineConfig`.
-    deadline_grace / task_retries:
-        Fault-tolerance knobs of the engine's worker pool: watchdog slack
-        past a request's deadline before a wedged worker is killed, and
-        re-dispatches granted to problems whose worker died.
-    fanout_min_vars:
-        Intra-problem fan-out threshold (``mcml --fanout-min-vars``):
-        with ``workers > 1`` and a ``decomposes`` backend, one hard
-        problem's independent components are counted through the worker
-        pool and multiplied.  ``None`` (default) keeps single-problem
-        counts in-process; see :class:`EngineConfig`.
     accmc_mode:
         Default AccMC construction (``"derived"`` or the paper's
         ``"product"``); overridable per :meth:`accmc` call.
@@ -125,16 +114,12 @@ class MCMLSession(CountingSurface):
         *,
         engine: CountingEngine | None = None,
         backend_opts: dict | None = None,
-        workers: int = 1,
         cache_dir=None,
         component_cache_mb: float = 512.0,
         component_spill: bool = True,
         circuit_store: bool = True,
         fallback: str | None = None,
         fallback_opts: dict | None = None,
-        deadline_grace: float = 5.0,
-        task_retries: int = 2,
-        fanout_min_vars: int | None = None,
         deadline: float | None = None,
         budget: int | None = None,
         accmc_mode: str = "derived",
@@ -146,16 +131,12 @@ class MCMLSession(CountingSurface):
             engine = CountingEngine(
                 counter,
                 config=EngineConfig(
-                    workers=workers,
                     cache_dir=cache_dir,
                     component_cache_mb=component_cache_mb,
                     component_spill=component_spill,
                     circuit_store=circuit_store,
                     fallback=fallback,
                     fallback_opts=fallback_opts,
-                    deadline_grace=deadline_grace,
-                    task_retries=task_retries,
-                    fanout_min_vars=fanout_min_vars,
                 ),
             )
         self.engine = engine
@@ -186,7 +167,7 @@ class MCMLSession(CountingSurface):
 
         Nests the engine counters under ``"engine"`` — the same shape
         ``mcml --stats`` and the service daemon's ``stats`` verb render,
-        and the shape the remote surfaces aggregate across lanes/shards.
+        and the shape the sharded client aggregates across shards.
         For the live :class:`~repro.counting.api.EngineStats` object use
         ``session.engine.stats``.
         """
@@ -363,7 +344,7 @@ class MCMLSession(CountingSurface):
     # -- lifecycle -------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the worker pool and flush/close the disk stores."""
+        """Flush and close the disk stores."""
         self.engine.close()
 
     def __enter__(self) -> "MCMLSession":

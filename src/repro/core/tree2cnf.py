@@ -69,7 +69,7 @@ def label_cubes(
     """The unit cubes of the paths predicting ``label``.
 
     The paths partition the input space, so ``{x : tree(x) = label}`` is
-    the *disjoint* union of these cubes and every region count decomposes
+    the *disjoint* union of these cubes and every region count splits
     as ``mc(φ ∧ region) = Σ_cubes mc(φ ∧ cube)`` — the per-path route
     (``CountRequest(strategy="per-path", cubes=...)``).  Each cube is the
     path's condition literals; conjoined as unit clauses they propagate in

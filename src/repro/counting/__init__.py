@@ -1,8 +1,10 @@
 """Model counting back-ends.
 
 MCML reduces every whole-input-space metric to model counting.  The paper
-uses two external tools; we implement both families natively, plus two more
-back-ends used for validation and ablation:
+uses two external tools; we implement both families natively, plus more
+back-ends used for validation and ablation.  Counting is single-threaded
+within a process; separate processes share work through the disk stores
+(and the counting service cluster shards by signature):
 
 * :mod:`repro.counting.exact` — exact counting in the ProjMC/sharpSAT
   tradition: DPLL search with unit propagation, connected-component
@@ -18,9 +20,6 @@ back-ends used for validation and ablation:
   :class:`CompiledCounter` is the ``compiled`` backend that declares
   ``conditions_cubes`` so the engine can answer every ``mc(φ ∧ path)``
   sub-problem of a per-path request from one cached circuit.
-* :mod:`repro.counting.bdd` — reduced OBDD compilation counter, mirroring
-  the "compilation" alternative discussed in the paper's related work
-  (a thin compile-and-discard wrapper over :mod:`repro.counting.circuit`).
 * :mod:`repro.counting.oracles` — closed-form combinatorial counts for the
   16 relational properties (Bell numbers, labeled posets, …), used to check
   Table 1 at paper scopes without running a counter.
@@ -34,16 +33,13 @@ back-ends used for validation and ablation:
   --backend NAME`` and the conformance suite iterate over.
 * :mod:`repro.counting.engine` — :class:`CountingEngine`, the shared,
   memoizing facade AccMC/DiffMC and the experiment drivers count through,
-  configured by :class:`EngineConfig` (worker processes, disk cache,
-  shared component cache); ``solve``/``solve_many`` return typed
+  configured by :class:`EngineConfig` (disk cache, shared component
+  cache, fallback backend); ``solve``/``solve_many`` return typed
   :class:`CountResult`\\ s, ``count``/``count_many`` remain bare-``int``
   shims.
 * :mod:`repro.counting.component_cache` — :class:`ComponentCache`, the
   bounded LRU of counted components that persists across counting calls
   and is shared engine-wide.
-* :mod:`repro.counting.parallel` — multiprocess fan-out for batches of
-  independent counting problems: the engine-owned persistent
-  :class:`WorkerPool` and the one-shot :func:`count_parallel`.
 * :mod:`repro.counting.store` — the disk tiers, all subclasses of one
   ``_SqliteStore`` base: :class:`CountStore` (whole counts keyed on
   canonical CNF signatures), :class:`BlobStore` (compilation memos),
@@ -52,13 +48,13 @@ back-ends used for validation and ablation:
   conditions without recompiling).
 * :mod:`repro.counting.faults` — the fault-injection harness the chaos
   suite drives the robustness layer with (corrupt stores, full disks,
-  SIGKILLed workers, unpicklable backends).
+  hostile network peers).
 
 Failure taxonomy: :class:`CounterAbort` is the base of the cooperative
 resource aborts (:class:`CounterBudgetExceeded` for node budgets,
 :class:`CounterTimeout` for wall-clock deadlines);
-:class:`CountFailure` is the engine/pool-level typed outcome a failed
-batch problem becomes.
+:class:`CountFailure` is the engine-level typed outcome a failed batch
+problem becomes.
 """
 
 from repro.counting.api import (
@@ -75,7 +71,6 @@ from repro.counting.api import (
     register_backend,
 )
 from repro.counting.approxmc import ApproxMCCounter, approx_count
-from repro.counting.bdd import BDDCounter, bdd_count
 from repro.counting.brute import brute_force_count, brute_force_models
 from repro.counting.circuit import (
     Circuit,
@@ -95,7 +90,6 @@ from repro.counting.exact import (
 )
 from repro.counting.legacy import LegacyExactCounter
 from repro.counting.oracles import closed_form_count
-from repro.counting.parallel import WorkerPool, count_parallel
 from repro.counting.router import CompositeCounter, Route, RoutingRule
 from repro.counting.store import (
     BlobStore,
@@ -109,7 +103,6 @@ from repro.counting.vector import FormulaBruteCounter, count_formula
 
 __all__ = [
     "ApproxMCCounter",
-    "BDDCounter",
     "BlobStore",
     "Capabilities",
     "Circuit",
@@ -135,11 +128,9 @@ __all__ = [
     "LegacyExactCounter",
     "Route",
     "RoutingRule",
-    "WorkerPool",
     "approx_count",
     "available_backends",
     "backend_capabilities",
-    "bdd_count",
     "brute_force_count",
     "brute_force_models",
     "capabilities_of",
@@ -147,7 +138,6 @@ __all__ = [
     "compile_cnf",
     "compiled_count",
     "count_formula",
-    "count_parallel",
     "exact_count",
     "make_backend",
     "register_backend",

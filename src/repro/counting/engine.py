@@ -1,11 +1,11 @@
-"""CountingEngine: a shared, memoizing, parallel counting service.
+"""CountingEngine: a shared, memoizing counting service.
 
 Every MCML metric is a handful of projected model-counting calls, and the
 experiment drivers repeat large parts of the work across rows: the same
 ground-truth translation at every training ratio, the same symmetry-space
 CNF for all sixteen properties of a table, the same tree regions when a
-model is evaluated twice.  The engine makes that reuse automatic — and
-scales the cold remainder across processes and sessions:
+model is evaluated twice.  The engine makes that reuse automatic, within
+a process and across sessions:
 
 * ``solve`` / ``solve_many`` are the typed front door: they accept a
   :class:`~repro.counting.api.CountRequest` (or a raw CNF) and return
@@ -14,8 +14,8 @@ scales the cold remainder across processes and sessions:
   from the in-memory memo, the disk store or actual backend work, and the
   :class:`~repro.counting.api.EngineStats` delta the call caused.  The
   historical ``count`` / ``count_many`` / ``count_formula`` survive as
-  thin bare-``int`` shims over the typed path, so every cached or fanned
-  out count flows through one code path;
+  thin bare-``int`` shims over the typed path, so every cached or fresh
+  count flows through one code path;
 * results are memoized keyed on the CNF's canonical packed signature
   (:meth:`repro.logic.cnf.CNF.signature`), so a cache hit is bit-identical
   to the cold call by construction;
@@ -24,12 +24,11 @@ scales the cold remainder across processes and sessions:
   *compilation* memos (translations, tree regions) by a
   :class:`repro.counting.store.BlobStore`, so a table re-run in a fresh
   process performs zero backend counts and zero recompilations;
-* with ``EngineConfig(workers=N)`` a ``solve_many`` batch is partitioned
-  into memo hits, disk-store hits and cold problems, and the cold problems
-  fan out over an engine-owned *persistent*
-  :class:`repro.counting.parallel.WorkerPool` — forked lazily on the first
-  cold batch, reused across batches and table rows, released by
-  ``engine.close()`` (the engine is a context manager);
+* a ``solve_many`` batch runs as one chain of single-purpose steps —
+  memo → store → execute → merge → fallback — in one thread: memo hits
+  and disk-store hits are answered first, the cold remainder is counted
+  on the backend, completed counts merge back into both caches, and
+  failed problems get one shot on the fallback backend;
 * the engine owns a bounded LRU
   :class:`repro.counting.component_cache.ComponentCache` installed on
   backends that declare ``owns_component_cache``, so the *sub-problems* of
@@ -42,8 +41,8 @@ scales the cold remainder across processes and sessions:
 * requests with ``strategy="per-path"`` decompose a tree-region count into
   one sub-problem per disjoint path cube (``mc(φ∧τ) = Σ_paths mc(φ∧path)``)
   — the cubes are unit clauses that propagate hard, and the sub-problems
-  flow through the same memo/store/fan-out machinery, deduping shared
-  paths across trees and sessions;
+  flow through the same memo/store chain, deduping shared paths across
+  trees and sessions;
 * when the backend declares ``conditions_cubes`` (the ``compiled``
   backend), cold per-path sub-problems skip independent counting
   entirely: the base formula is compiled *once* into a
@@ -63,14 +62,12 @@ scales the cold remainder across processes and sessions:
   target's (ε, δ) and are never memoized or persisted — the same
   discipline inexact fallback results follow — and the approx route is
   refused outright for exact-precision and per-path problems;
-* failures are *typed and contained*: budget exhaustions, wall-clock
-  deadline overruns (``CountRequest(deadline=...)``) and workers lost to
-  SIGKILL/OOM become per-problem
+* failures are *typed and contained*: budget exhaustions and wall-clock
+  deadline overruns (``CountRequest(deadline=...)``) become per-problem
   :class:`~repro.counting.api.CountFailure` outcomes instead of batch
-  aborts — completed counts always merge into the caches, the pool
-  respawns dead workers and re-dispatches their problems within a retry
-  budget, and with ``EngineConfig(fallback="approxmc")`` the *degradation
-  ladder* re-counts failed problems on an explicitly-provenanced fallback
+  aborts — completed counts always merge into the caches, and with
+  ``EngineConfig(fallback="approxmc")`` the *degradation ladder*
+  re-counts failed problems on an explicitly-provenanced fallback
   backend (``solve_many(..., on_failure="return")`` surfaces the
   remaining failures; the default re-raises the first original
   exception);
@@ -81,9 +78,9 @@ scales the cold remainder across processes and sessions:
   objects built on those translations;
 * ``region`` memoizes decision-tree label-region CNFs keyed on the paths.
 
-Routing decisions — disk persistence, worker fan-out, component-cache
-installation, the ``count_formula`` fast path — are negotiated purely
-through the backend's declared :class:`~repro.counting.api.Capabilities`
+Routing decisions — disk persistence, component-cache installation,
+the ``count_formula`` fast path — are negotiated purely through the
+backend's declared :class:`~repro.counting.api.Capabilities`
 (``engine.capabilities``); the engine never sniffs attributes.  Backends
 are constructible by registered name via
 :func:`repro.counting.api.make_backend`, and attribute access falls
@@ -97,7 +94,6 @@ survive — that is their point).
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 import warnings
@@ -106,7 +102,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from repro.counting import faults
 from repro.counting.api import (
     Capabilities,
     CountFailure,
@@ -117,7 +112,7 @@ from repro.counting.api import (
     make_backend,
 )
 from repro.counting.component_cache import ComponentCache
-from repro.counting.parallel import WorkerPool, default_workers
+from repro.counting.exact import CounterAbort, ExactCounter
 from repro.counting.store import (
     BlobStore,
     CircuitStore,
@@ -134,17 +129,10 @@ _MISSING = object()
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Scaling knobs for a :class:`CountingEngine`.
+    """Persistence and fallback knobs for a :class:`CountingEngine`.
 
     Parameters
     ----------
-    workers:
-        Processes a cold ``solve_many`` batch fans out over.  ``1`` (the
-        default) keeps everything in-process; ``0`` or negative means one
-        per core; results are bit-identical either way.  The pool is owned
-        by the engine: forked lazily on the first cold parallel batch,
-        reused across ``solve_many`` calls, released by ``engine.close()``
-        (and lazily re-forked should the engine count again afterwards).
     cache_dir:
         Directory for the disk-persistent caches.  ``None`` disables
         persistence; any path makes counts *and compilations* survive (and
@@ -170,8 +158,7 @@ class EngineConfig:
         already do (``EngineStats.component_spill_hits`` reports the
         promotions).  On by default but only active when ``cache_dir`` is
         configured and the component cache itself is; ``0``/``False``
-        opts out.  Worker deltas reach the shared cache and hence the
-        spill too.
+        opts out.
     circuit_store:
         Persist compiled circuits
         (:class:`~repro.counting.store.CircuitStore` under ``cache_dir``):
@@ -186,11 +173,11 @@ class EngineConfig:
         Registered backend name (see
         :func:`repro.counting.api.make_backend`) the *degradation ladder*
         re-routes failed problems to — a problem that exhausts its node
-        budget, exceeds its wall-clock deadline, or loses its worker past
-        the retry budget is re-counted once on this backend instead of
-        failing the batch.  ``None`` (the default) disables the ladder.
-        The fallback result carries explicit provenance
-        (``source="fallback"``, ``fallback_from``, ``exact``/(ε, δ)), and
+        budget or exceeds its wall-clock deadline is re-counted once on
+        this backend instead of failing the batch.  ``None`` (the
+        default) disables the ladder.  The fallback result carries
+        explicit provenance (``source="fallback"``, ``fallback_from``,
+        ``exact``/(ε, δ)), and
         an inexact fallback (e.g. ``"approxmc"``) is never used for
         requests demanding exact precision nor for per-path sub-problems
         (summing estimates compounds their error) — those failures stand.
@@ -198,44 +185,14 @@ class EngineConfig:
     fallback_opts:
         Keyword options for constructing the fallback backend (e.g.
         ``{"epsilon": 0.8, "rounds": 1}``).
-    deadline_grace:
-        Parent-side watchdog slack on top of a request's ``deadline``
-        before a wedged worker is killed (the cooperative
-        ``CounterTimeout`` normally fires inside the worker well before
-        this backstop).
-    task_retries:
-        Re-dispatches granted to a problem whose worker *died*
-        (SIGKILL/OOM) before the problem is declared lost.
-    fanout_min_vars:
-        Intra-problem fan-out threshold: when set (and ``workers > 1``
-        and the backend declares ``decomposes``), a *single* cold problem
-        whose top-level component split yields at least two components of
-        at least this many variables is served by counting the components
-        as independent sub-problems — through the same memo → store →
-        worker-pool machinery batches use — and multiplying the
-        sub-counts (``EngineStats.component_fanouts`` /
-        ``fanout_subproblems``).  Bit-identical to the serial count by
-        construction (components are independent, and the split is the
-        one the serial search performs anyway); a per-problem
-        budget/deadline is enforced on *each* sub-component, so the
-        failure taxonomy is preserved.  ``None`` (the default) keeps
-        single-problem counting fully in-process.
-
-    Fan-out additionally requires the backend to declare ``parallel_safe``
-    (worker clones reproduce the serial count stream): engines over seeded
-    approximate backends quietly stay serial and unpersisted.
     """
 
-    workers: int = 1
     cache_dir: str | Path | None = None
     component_cache_mb: float = 512.0
     component_spill: bool = True
     circuit_store: bool = True
     fallback: str | None = None
     fallback_opts: dict | None = None
-    deadline_grace: float = 5.0
-    task_retries: int = 2
-    fanout_min_vars: int | None = None
 
 
 def _prop_key(prop) -> object:
@@ -298,7 +255,7 @@ class _Flat(NamedTuple):
 
 
 class CountingEngine:
-    """Memoizing, optionally parallel and disk-backed counting front door.
+    """Memoizing, optionally disk-backed counting front door.
 
     Parameters
     ----------
@@ -309,14 +266,12 @@ class CountingEngine:
         :func:`repro.counting.api.make_backend`.  Passing an engine
         returns its backend wrapped afresh — engines do not nest.
     config:
-        :class:`EngineConfig` with the parallelism / persistence knobs.
+        :class:`EngineConfig` with the persistence / fallback knobs.
     """
 
     def __init__(self, counter=None, config: EngineConfig | None = None) -> None:
         if isinstance(counter, CountingEngine):
             counter = counter.counter
-        from repro.counting.exact import ExactCounter
-
         self.counter = counter if counter is not None else ExactCounter()
         self.config = config if config is not None else EngineConfig()
         #: The backend's declared contract — the only thing routing reads.
@@ -325,10 +280,6 @@ class CountingEngine:
             self.counter, "name", type(self.counter).__name__
         )
         caps = self.capabilities
-        # workers <= 0 means "one per core".
-        self._workers = (
-            self.config.workers if self.config.workers > 0 else default_workers()
-        )
         # Count persistence is reserved for exact backends: exact counts
         # are interchangeable across backends and sessions, whereas an
         # (ε, δ) estimate persisted to a shared cache_dir would silently
@@ -345,10 +296,9 @@ class CountingEngine:
             else None
         )
         # The engine owns the component cache and installs it on backends
-        # declaring ``owns_component_cache``, so serial counts, every
-        # problem of a batch, and (via the worker delta protocol) parallel
-        # counts all warm one shared cache.  ``component_cache_mb=0`` opts
-        # out: the backend reverts to per-call caching.
+        # declaring ``owns_component_cache``, so every count and every
+        # problem of a batch warm one shared cache.  ``component_cache_mb=0``
+        # opts out: the backend reverts to per-call caching.
         self.component_cache: ComponentCache | None = None
         if caps.exact and caps.owns_component_cache:
             mb = self.config.component_cache_mb
@@ -359,7 +309,7 @@ class CountingEngine:
                 self.counter.component_cache = None
         # The spill tier rides on both knobs: a component cache to spill
         # and a cache_dir to spill into.  Attached to the shared cache, so
-        # evictions, close-time spills and worker deltas all reach disk.
+        # evictions and close-time spills both reach disk.
         self.component_store: ComponentStore | None = None
         if (
             self.component_cache is not None
@@ -382,9 +332,6 @@ class CountingEngine:
         self._circuits: dict[tuple, object] = {}
         self._component_spill_hits_base = 0
         self._store_degradations_base = 0
-        self._pool: WorkerPool | None = None
-        self._pool_respawns_base = 0
-        self._pool_retries_base = 0
         # The degradation ladder's fallback backend, built eagerly so a
         # misconfigured name fails at construction, not at the first
         # failure it was supposed to absorb.
@@ -404,11 +351,9 @@ class CountingEngine:
         #: is single-threaded by design — memo dicts, EngineStats and the
         #: backend's knob overrides (``_limits``) all assume one caller at
         #: a time.  ``solve*`` and the compilation memos serialize on this
-        #: reentrant lock so a multi-threaded *caller* (the counting
-        #: service's solver executor is the only sanctioned one) gets
-        #: bit-identical counts and consistent stats; true parallelism
-        #: comes from the engine's worker pool, never from racing threads
-        #: into one backend.
+        #: reentrant lock so a multi-threaded *caller* gets bit-identical
+        #: counts and consistent stats, never racing threads into one
+        #: backend.
         self._lock = threading.RLock()
         self._sync_store_degradations()
 
@@ -448,20 +393,18 @@ class CountingEngine:
         CNFs (frozen into requests with default precision/budget).  The
         batch is partitioned into in-memory memo hits, disk-store hits and
         cold problems (duplicates inside the batch collapse onto the first
-        occurrence and report as memo hits).  Cold problems run on the
-        backend — across ``config.workers`` processes when the batch and
-        the backend's capabilities allow — and their results merge back
-        into the memo and the disk store, so the parallel path is
-        bit-identical to the serial one by construction.  Each result
-        records its provenance; ``stats_delta`` is the whole batch's
-        telemetry movement (shared by the batch's results).
+        occurrence and count as memo hits).  Cold problems run on the
+        backend, one after another, and their results merge back into the
+        memo and the disk store.  Each result records its provenance;
+        ``stats_delta`` is the whole batch's telemetry movement (shared by
+        the batch's results).
 
         Requests with ``strategy="per-path"`` are *decomposed*: the region
         they describe is a disjoint union of path cubes, so the request
         expands into one sub-problem per cube (the base CNF plus unit
         clauses, which propagate hard) and the result is the sum of the
         sub-counts.  The sub-problems flow through the same memo → store →
-        fan-out machinery as everything else, which is what makes shared
+        execute chain as everything else, which is what makes shared
         paths dedup across trees, batches and sessions.  On a
         ``conditions_cubes`` backend the sub-problems are keyed on
         ``(base, cube)`` instead — never materialized, never store-backed
@@ -474,11 +417,10 @@ class CountingEngine:
 
         Failure semantics.  A problem can fail without poisoning the
         batch: a node-budget exhaustion
-        (:class:`~repro.counting.exact.CounterBudgetExceeded`), a
+        (:class:`~repro.counting.exact.CounterBudgetExceeded`) or a
         wall-clock deadline overrun
-        (:class:`~repro.counting.exact.CounterTimeout`), or a worker lost
-        past its retry budget each produce a typed
-        :class:`~repro.counting.api.CountFailure` for *that position* —
+        (:class:`~repro.counting.exact.CounterTimeout`) each produce a
+        typed :class:`~repro.counting.api.CountFailure` for *that position* —
         every other problem still completes, and completed counts always
         reach the memo and the disk store (a retry resumes, it does not
         recount).  With ``config.fallback`` set, failed problems are
@@ -492,11 +434,9 @@ class CountingEngine:
 
         Thread safety.  ``solve``/``solve_many``/``solve_formula`` (and
         the compilation memos) serialize on the engine's internal
-        reentrant lock: concurrent callers — the counting service's
-        solver threads are the only sanctioned ones — get bit-identical
-        counts and consistent :class:`EngineStats`, never interleaved
-        memo/knob state.  Parallelism belongs to the worker pool, not to
-        caller threads.
+        reentrant lock: concurrent callers get bit-identical counts and
+        consistent :class:`EngineStats`, never interleaved memo/knob
+        state.
         """
         with self._lock:
             return self._solve_many_locked(problems, on_failure)
@@ -553,7 +493,7 @@ class CountingEngine:
                 flat.append(_Flat(problem, None, None, False, False))
             shape.append(("one", len(flat) - 1))
 
-        partial = self._solve_flat(flat, caps)
+        partial = self._solve_flat(flat)
         self._sync_component_stats()
         self._sync_store_degradations()
         stats_delta = self.stats.delta_since(before)
@@ -607,22 +547,37 @@ class CountingEngine:
             raise primary
         return results
 
-    def _solve_flat(
-        self, items: list[_Flat], caps: Capabilities, allow_fanout: bool = True
-    ):
+    def _solve_flat(self, items: list[_Flat]):
         """Solve already-expanded :class:`_Flat` problems (no delta attach).
 
+        One chain of single-purpose steps, memo → store → execute → merge
+        → fallback, each answering what it can and passing the rest on.
         Returns one :class:`~repro.counting.api.CountResult` or
         :class:`~repro.counting.api.CountFailure` per item.
-        ``allow_fanout=False`` marks the recursive call serving one
-        fanned-out problem's components — components never fan out again.
         """
-        from repro.counting.exact import CounterAbort
-
         results: list[CountResult | CountFailure | None] = [None] * len(items)
-        positions: dict[tuple, list[int]] = {}
-        order: list[tuple] = []
-        cold: dict[tuple, _Flat] = {}
+        cold = self._memo_step(items, results)
+        hashed = self._store_step(cold, results)
+        completed: dict[tuple, tuple] = {}
+        failed: dict[tuple, CountFailure] = {}
+        try:
+            self._execute_step(cold, completed, failed)
+        finally:
+            # Merge whatever completed even when a later problem raised:
+            # counts already paid for must reach the memo and the disk
+            # store, so a retry resumes instead of re-counting from scratch.
+            self._merge_step(completed, cold, hashed, results)
+        self._fallback_step(failed, cold, hashed, results)
+        return results
+
+    def _memo_step(self, items: list[_Flat], results: list) -> dict:
+        """Answer memo hits; group the rest by signature.
+
+        Returns ``signature -> (item, batch positions)`` for the cold
+        problems.  Duplicates inside the batch collapse onto the first
+        occurrence and count as memo hits: one backend count serves all.
+        """
+        cold: dict[tuple, tuple[_Flat, list[int]]] = {}
         for i, item in enumerate(items):
             self.stats.count_calls += 1
             key = item.cnf.signature()
@@ -630,205 +585,135 @@ class CountingEngine:
             if cached is not None:
                 self.stats.count_hits += 1
                 results[i] = self._hit(cached, "memo")
-                continue
-            if key in positions:
-                # Duplicate of a colder batch member: one backend count
-                # will serve both, exactly like a serial memo hit.
+            elif key in cold:
                 self.stats.count_hits += 1
-                positions[key].append(i)
+                cold[key][1].append(i)
+            else:
+                cold[key] = (item, [i])
+        return cold
+
+    def _store_step(self, cold: dict, results: list) -> dict[tuple, str]:
+        """Answer disk-store hits, removing them from ``cold``.
+
+        Returns the store address of every key that was looked up, which
+        the merge and fallback steps write fresh counts under.
+        """
+        if self.store is None or not cold:
+            return {}
+        hashed = {key: signature_key(key) for key in cold}
+        found = self.store.get_many(list(hashed.values()))
+        for key, address in hashed.items():
+            value = found.get(address)
+            if value is None:
                 continue
-            positions[key] = [i]
-            cold[key] = item
-            order.append(key)
+            self.stats.store_hits += 1
+            self._counts[key] = value
+            hit = self._hit(value, "store")
+            for i in cold.pop(key)[1]:
+                results[i] = hit
+        return hashed
 
-        missing = order
-        hashed: dict[tuple, str] = {}
-        if self.store is not None and order:
-            hashed = {key: signature_key(key) for key in order}
-            found = self.store.get_many([hashed[key] for key in order])
-            missing = []
-            for key in order:
-                value = found.get(hashed[key])
-                if value is None:
-                    missing.append(key)
-                    continue
-                self.stats.store_hits += 1
-                self._counts[key] = value
-                hit = self._hit(value, "store")
-                for i in positions[key]:
-                    results[i] = hit
+    def _execute_step(self, cold: dict, completed: dict, failed: dict) -> None:
+        """Count each cold problem on the backend under its own limits.
 
-        failed: dict[tuple, CountFailure] = {}
-
-        if missing:
-            # Budgeted and deadlined requests stay in-process (the knob
-            # overrides must not leak into worker clones); the rest may
-            # fan out.
-            pooled = [
-                key
-                for key in missing
-                if cold[key].budget is None and cold[key].deadline is None
-            ]
-            limited = set(pooled)
-            serial = [key for key in missing if key not in limited]
-            completed: dict[tuple, tuple[int, float]] = {}
-            #: routing backend only: key -> the Route its problem took,
-            #: consulted when results merge (exactness, routed_to, ε/δ,
-            #: and whether the value may be memoized/persisted).
-            routed: dict[tuple, object] = {}
-            deltas: list = []
+        Fills ``completed`` with ``key -> (value, seconds, route)`` and
+        ``failed`` with ``key -> CountFailure``.  A routing backend is
+        asked *where* first, so the decision lands in stats and provenance
+        even when the count itself later aborts.  The approx-route refusal
+        (exact precision / per-path demands on an oversized problem)
+        raises ValueError out of the batch, like the engine's other
+        contract checks.  Budget and deadline aborts are per-problem
+        outcomes, not batch aborts: the rest of the batch keeps counting.
+        """
+        for key, (item, _) in cold.items():
+            started = time.perf_counter()
+            route = None
+            counter, backend = self.counter, self.backend_name
+            if self.capabilities.routes:
+                route = self.counter.route(
+                    item.cnf, prefer_exact=item.exact_only or item.per_path
+                )
+                field = route.rule.stats_field
+                setattr(self.stats, field, getattr(self.stats, field) + 1)
+                counter, backend = route.counter, route.rule.target
             try:
-                pool = None
-                if (
-                    self._workers > 1
-                    and len(pooled) > 1
-                    and caps.exact
-                    and caps.parallel_safe
-                ):
-                    pool = self._ensure_pool()
-                if pool is not None:
-                    try:
-                        outcomes = pool.run_tasks(
-                            [cold[key].cnf for key in pooled]
-                        )
-                    finally:
-                        self._sync_pool_stats(pool)
-                    for key, outcome in zip(pooled, outcomes):
-                        if isinstance(outcome, CountFailure):
-                            failed[key] = outcome
-                            continue
-                        completed[key] = (outcome.value, outcome.elapsed_seconds)
-                        if outcome.delta:
-                            deltas.extend(outcome.delta)
-                else:
-                    serial = pooled + serial
-                for key in serial:
-                    item = cold[key]
-                    if allow_fanout:
-                        fanned = self._maybe_fanout(item, caps)
-                        if fanned is not None:
-                            status, payload, seconds = fanned
-                            if status == "ok":
-                                completed[key] = (payload, seconds)
-                            else:
-                                # The components already went through the
-                                # degradation ladder (and the timeout
-                                # stats) inside the recursive call; the
-                                # first surviving failure is the parent's
-                                # typed outcome.
-                                for i in positions[key]:
-                                    results[i] = payload
-                            continue
-                    started = time.perf_counter()
-                    # A routing backend is asked *where* first, so the
-                    # decision lands in stats and provenance even when
-                    # the count itself later aborts.  The approx-route
-                    # refusal (exact precision / per-path demands on an
-                    # oversized problem) raises ValueError out of the
-                    # batch, like the engine's other contract checks.
-                    route = None
-                    route_counter = self.counter
-                    route_backend = self.backend_name
-                    if caps.routes:
-                        route = self.counter.route(
-                            item.cnf,
-                            prefer_exact=item.exact_only or item.per_path,
-                        )
-                        routed[key] = route
-                        field = route.rule.stats_field
-                        setattr(self.stats, field, getattr(self.stats, field) + 1)
-                        route_counter = route.counter
-                        route_backend = route.rule.target
-                    try:
-                        with self._limits(
-                            item.budget, item.deadline, counter=route_counter
-                        ):
-                            value = route_counter.count(item.cnf)
-                    except CounterAbort as exc:
-                        # Budget/deadline aborts are per-problem outcomes,
-                        # not batch aborts: record and keep counting — the
-                        # rest of the batch is still worth paying for.
-                        failed[key] = CountFailure.from_exception(
-                            exc,
-                            backend=route_backend,
-                            elapsed_seconds=time.perf_counter() - started,
-                        )
-                        continue
-                    completed[key] = (value, time.perf_counter() - started)
-            finally:
-                # Components the workers solved warm the shared cache, so
-                # the serial paths (and later batches' pickled clones)
-                # start from them too.
-                if deltas and self.component_cache is not None:
-                    self.component_cache.absorb(deltas)
-                # Merge whatever completed even when a later problem
-                # failed or raised: counts already paid for must reach the
-                # memo and the disk store, so a retry resumes instead of
-                # re-counting from scratch.
-                self.stats.backend_calls += len(completed)
-                fresh: list[tuple[str, int]] = []
-                for key, (value, seconds) in completed.items():
-                    route = routed.get(key)
-                    if route is None:
-                        exact = caps.exact
-                        routed_to = epsilon = delta = None
-                    else:
-                        # Exactness (and ε/δ) are the *routed target's*;
-                        # approx-routed values are neither memoized nor
-                        # persisted — like inexact fallback counts, an
-                        # estimate must never warm an exact cache.
-                        exact = route.capabilities.exact
-                        routed_to = route.rule.target
-                        epsilon = (
-                            None if exact else getattr(route.counter, "epsilon", None)
-                        )
-                        delta = (
-                            None if exact else getattr(route.counter, "delta", None)
-                        )
-                    if exact:
-                        self._counts[key] = value
-                    result = CountResult(
-                        value=value,
-                        exact=exact,
-                        backend=self.backend_name,
-                        source="backend",
-                        elapsed_seconds=seconds,
-                        routed_to=routed_to,
-                        epsilon=epsilon,
-                        delta=delta,
-                    )
-                    for i in positions[key]:
-                        results[i] = result
-                    if self.store is not None and exact:
-                        fresh.append((hashed[key], value))
-                if fresh and self.store is not None:
-                    self.store.put_many(fresh)
+                with self._limits(item.budget, item.deadline, counter=counter):
+                    value = counter.count(item.cnf)
+            except CounterAbort as exc:
+                failed[key] = CountFailure.from_exception(
+                    exc,
+                    backend=backend,
+                    elapsed_seconds=time.perf_counter() - started,
+                )
+                continue
+            completed[key] = (value, time.perf_counter() - started, route)
 
-        # The degradation ladder: each failed problem gets one shot on
-        # the configured fallback backend; failures the ladder cannot
-        # absorb stand as the problem's typed outcome.
+    def _merge_step(
+        self, completed: dict, cold: dict, hashed: dict, results: list
+    ) -> None:
+        """Hand completed counts to their batch positions, memo and store.
+
+        Exactness (and ε/δ) of a routed problem are the *routed target's*;
+        approx-routed values are neither memoized nor persisted — like
+        inexact fallback counts, an estimate must never warm an exact cache.
+        """
+        self.stats.backend_calls += len(completed)
+        fresh: list[tuple[str, int]] = []
+        for key, (value, seconds, route) in completed.items():
+            if route is None:
+                exact = self.capabilities.exact
+                routed_to = epsilon = delta = None
+            else:
+                exact = route.capabilities.exact
+                routed_to = route.rule.target
+                epsilon = None if exact else getattr(route.counter, "epsilon", None)
+                delta = None if exact else getattr(route.counter, "delta", None)
+            result = CountResult(
+                value=value,
+                exact=exact,
+                backend=self.backend_name,
+                source="backend",
+                elapsed_seconds=seconds,
+                routed_to=routed_to,
+                epsilon=epsilon,
+                delta=delta,
+            )
+            for i in cold[key][1]:
+                results[i] = result
+            if exact:
+                self._counts[key] = value
+                if self.store is not None:
+                    fresh.append((hashed[key], value))
+        if fresh:
+            self.store.put_many(fresh)
+
+    def _fallback_step(
+        self, failed: dict, cold: dict, hashed: dict, results: list
+    ) -> None:
+        """The degradation ladder: one fallback shot per failed problem.
+
+        Failures the ladder cannot absorb stand as the problem's typed
+        outcome.  Exact fallback counts are interchangeable with the
+        primary backend's and are memoized and persisted; estimates are
+        neither.
+        """
         for key, failure in failed.items():
             if failure.kind == "timeout":
                 self.stats.timeouts += 1
-            outcome = self._try_fallback(failure, cold[key])
-            if isinstance(outcome, CountResult):
-                if self._fallback_caps is not None and self._fallback_caps.exact:
-                    # Exact fallback counts are interchangeable with
-                    # the primary backend's; estimates are neither
-                    # memoized nor persisted.
-                    self._counts[key] = outcome.value
-                    if self.store is not None:
-                        self.store.put(hashed[key], outcome.value)
-            for i in positions[key]:
+            item, positions = cold[key]
+            outcome = self._try_fallback(failure, item)
+            if isinstance(outcome, CountResult) and self._fallback_caps.exact:
+                self._counts[key] = outcome.value
+                if self.store is not None:
+                    self.store.put(hashed[key], outcome.value)
+            for i in positions:
                 results[i] = outcome
-
-        return results
 
     def _try_fallback(self, failure: CountFailure, item: _Flat):
         """One fallback attempt for a failed problem (or the failure itself).
 
-        The ladder only absorbs *resource* failures (timeout, budget,
-        worker-lost) — a genuine backend error would fail on any backend.
+        The ladder only absorbs *resource* failures (timeout, budget) — a
+        genuine backend error would fail on any backend.
         An inexact fallback is refused for exact-precision requests and
         per-path sub-problems.  The fallback does *not* inherit the
         request's budget/deadline limits: the ladder exists to still
@@ -839,8 +724,6 @@ class CountingEngine:
         when needed.  A fallback's own abort, or its failure to converge,
         leaves the original failure standing.
         """
-        from repro.counting.exact import CounterAbort
-
         fallback = self._fallback_counter
         if fallback is None or failure.kind == "error":
             return failure
@@ -864,64 +747,6 @@ class CountingEngine:
             delta=None if fb_caps.exact else getattr(fallback, "delta", None),
         )
 
-    def _maybe_fanout(self, item: _Flat, caps: Capabilities):
-        """Try serving one cold problem through its component split.
-
-        The intra-problem fan-out point (``EngineConfig(fanout_min_vars)``):
-        the backend's :meth:`decompose` splits the problem into independent
-        components whose counts multiply, and the components flow through
-        the same memo → store → worker-pool machinery a batch does — so a
-        single hard problem becomes parallel work at batch width 1, and
-        structurally identical components (canonically renumbered by the
-        backend) collapse onto one backend call.  Requires an exact,
-        ``parallel_safe``, ``decomposes`` backend; routing backends are
-        excluded (the split is the *routed target's* business, and the
-        router may not even own a ``decompose``).
-
-        Returns ``None`` when the problem does not fan out (the caller
-        counts it normally), ``("ok", value, seconds)`` on success —
-        merged, memoized and persisted exactly like a direct backend
-        count — or ``("fail", CountFailure, seconds)`` when a component
-        failed past the degradation ladder (a product with a missing
-        factor is meaningless, so the first failure stands for the
-        parent).  A per-problem budget/deadline is applied to *each*
-        component, preserving the typed failure taxonomy per sub-problem.
-        """
-        from repro.counting.exact import CounterAbort
-
-        min_vars = self.config.fanout_min_vars
-        if (
-            min_vars is None
-            or self._workers <= 1
-            or item.cnf is None
-            or caps.routes
-            or not (caps.exact and caps.parallel_safe and caps.decomposes)
-        ):
-            return None
-        started = time.perf_counter()
-        try:
-            split = self.counter.decompose(item.cnf, min_component_vars=min_vars)
-        except CounterAbort:
-            # Decomposition itself never spends search nodes; treat an
-            # abort defensively as "did not decompose".
-            return None
-        if split is None:
-            return None
-        multiplier, subs = split
-        self.stats.component_fanouts += 1
-        self.stats.fanout_subproblems += len(subs)
-        flats = [
-            _Flat(sub, item.budget, item.deadline, item.exact_only, item.per_path)
-            for sub in subs
-        ]
-        outcomes = self._solve_flat(flats, caps, allow_fanout=False)
-        value = multiplier
-        for outcome in outcomes:
-            if isinstance(outcome, CountFailure):
-                return ("fail", outcome, time.perf_counter() - started)
-            value *= outcome.value
-        return ("ok", value, time.perf_counter() - started)
-
     def _condition_request(
         self, problem: CountRequest, exact_only: bool
     ) -> CountResult | CountFailure:
@@ -942,8 +767,6 @@ class CountingEngine:
         degradation ladder; a failure the ladder cannot absorb fails the
         whole request (its sum is meaningless with a term missing).
         """
-        from repro.counting.exact import CounterAbort
-
         stats = self.stats
         started = time.perf_counter()
         # Order-insensitive, content-canonical, and far cheaper than a
@@ -1113,19 +936,6 @@ class CountingEngine:
             self._store_degradations_total() - self._store_degradations_base
         )
 
-    def _sync_pool_stats(self, pool: WorkerPool) -> None:
-        """Mirror the pool's self-healing counters into EngineStats.
-
-        The pool's counters are cumulative over its lifetime; the engine
-        tracks bases so each sync moves the stats by exactly the delta
-        since the last one (and ``clear()``'s fresh EngineStats starts
-        from zero without touching the live pool).
-        """
-        self.stats.worker_respawns += pool.respawns - self._pool_respawns_base
-        self.stats.retries += pool.retries - self._pool_retries_base
-        self._pool_respawns_base = pool.respawns
-        self._pool_retries_base = pool.retries
-
     def solve_formula(self, formula, num_vars: int) -> CountResult:
         """Typed memoized whole-space formula count (fast-path backends).
 
@@ -1192,9 +1002,8 @@ class CountingEngine:
 
         ``budget`` maps onto a ``max_nodes`` attribute and ``deadline``
         onto a ``deadline`` attribute; a knob the backend lacks makes the
-        corresponding request limit moot (the pool watchdog still
-        backstops deadlines for parallel batches).  Restores on exit even
-        when the count aborts.
+        corresponding request limit moot.  Restores on exit even when the
+        count aborts.
         """
         counter = self.counter if counter is None else counter
         previous_budget = _MISSING
@@ -1332,51 +1141,15 @@ class CountingEngine:
             self._regions[key] = cnf
             return cnf
 
-    # -- parallel plumbing -----------------------------------------------------------
-
-    def _ensure_pool(self) -> WorkerPool | None:
-        """The engine's persistent worker pool, forked lazily.
-
-        Created on the first cold parallel batch and reused across
-        ``solve_many`` calls; ``close()`` releases it, and counting again
-        after a close simply forks a fresh one.  Returns ``None`` when the
-        backend does not pickle — the caller then counts serially, exactly
-        like :func:`repro.counting.parallel.count_parallel` would.
-        """
-        if self._pool is not None and not self._pool.closed:
-            return self._pool
-        try:
-            if faults.active("backend-unpicklable"):
-                raise pickle.PicklingError("injected: backend does not pickle")
-            blob = pickle.dumps(self.counter)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            # The probe catches exactly the serialization failures — a
-            # genuinely broken backend still raises loudly here.
-            self.stats.serial_fallbacks += 1
-            return None
-        self._pool = WorkerPool(
-            blob,
-            self._workers,
-            record_deltas=self.component_cache is not None,
-            grace=self.config.deadline_grace,
-            task_retries=self.config.task_retries,
-            backend_name=self.backend_name,
-        )
-        self._pool_respawns_base = 0
-        self._pool_retries_base = 0
-        return self._pool
-
     # -- maintenance -----------------------------------------------------------------
 
     def clear(self) -> None:
         """Drop the in-memory memos and reset the statistics.
 
         The shared component cache is a memo too, so it is dropped with the
-        rest.  The disk stores (if configured) and the worker pool are
-        intentionally left intact — surviving resets is their purpose; use
-        ``engine.store.clear()`` / ``engine.close()`` for those.  (Workers
-        keep their own warmed cache clones regardless: they are process
-        state, re-cloned only when a pool is re-forked.)
+        rest.  The disk stores (if configured) are intentionally left
+        intact — surviving resets is their purpose; use
+        ``engine.store.clear()`` / ``engine.close()`` for those.
         """
         with self._lock:
             self._clear_locked()
@@ -1392,21 +1165,16 @@ class CountingEngine:
             # The cache's own counters are cumulative; re-baseline so the
             # fresh EngineStats reports spill promotions from zero.
             self._component_spill_hits_base = self.component_cache.spill_hits
-        # Same re-baselining for the cumulative store and pool counters.
+        # Same re-baselining for the cumulative store counters.
         self._store_degradations_base = self._store_degradations_total()
-        if self._pool is not None:
-            self._pool_respawns_base = self._pool.respawns
-            self._pool_retries_base = self._pool.retries
         self.stats = EngineStats()
 
     def close(self) -> None:
-        """Release the worker pool and the disk store handles (idempotent).
+        """Release the disk store handles (idempotent).
 
-        Counting again after a close works: the stores stay closed (work
-        falls through to the backend) but the pool re-forks lazily.
+        Counting again after a close works: the stores stay closed and
+        work falls through to the backend.
         """
-        if self._pool is not None:
-            self._pool.close()
         if self.store is not None:
             self.store.close()
         if self.memo_store is not None:
@@ -1430,11 +1198,6 @@ class CountingEngine:
     def __repr__(self) -> str:
         s = self.stats
         extras = ""
-        if self._workers > 1:
-            # The *resolved* worker count: config.workers == 0 means "one
-            # per core", which is > 1 on any multi-core machine.
-            pool = "+pool" if self._pool is not None and not self._pool.closed else ""
-            extras += f", workers={self._workers}{pool}"
         if self.component_cache is not None:
             spill = "+spill" if self.component_store is not None else ""
             extras += f", components={len(self.component_cache)}{spill}"

@@ -133,10 +133,7 @@ class CompositeCounter:
     engine may persist their counts — while the approx route's results
     are excluded from memo/store by the engine's routing lane (the same
     discipline inexact *fallback* results already follow), and carry
-    explicit (ε, δ) provenance instead.  ``parallel_safe=False`` keeps
-    batches serial: the seeded approxmc sub-backend's clones restart
-    their RNG, and serial routing is what makes the per-route counters
-    and ``routed_to`` provenance deterministic.
+    explicit (ε, δ) provenance instead.
 
     ``oversize_vars`` is the tractability threshold of rule 1;
     ``epsilon``/``delta``/``seed`` parameterize the approxmc sub-backend
@@ -152,7 +149,6 @@ class CompositeCounter:
         exact=True,
         counts_formulas=False,
         supports_projection=True,
-        parallel_safe=False,
         owns_component_cache=True,
         conditions_cubes=False,
         routes=True,

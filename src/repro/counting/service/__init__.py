@@ -1,7 +1,7 @@
 """The counting service: :class:`~repro.core.session.MCMLSession` over a wire.
 
-One long-lived daemon process owns a warm session — hot worker pool,
-populated component cache, open sqlite tiers — and serves counting verbs
+One long-lived daemon process owns a warm session — populated memos and
+component cache, open sqlite tiers — and serves counting verbs
 (``solve``, ``solve_many``, ``accmc``, ``diffmc``, ``stats``, ``ping``) to
 concurrent clients over line-delimited JSON on a TCP socket.  Everything
 is stdlib: ``socket`` + ``threading`` + ``json``, no framework.
@@ -12,10 +12,10 @@ The three modules:
     The wire format — envelope encode/decode, bounded line framing,
     response builders, tree (de)hydration, the shared stats payload.
 :mod:`~repro.counting.service.server`
-    :class:`CountingServer` — accept/reader/solver threads, bounded
-    request queue with admission control, per-client in-flight budgets,
-    signature-keyed coalescing of identical in-flight requests, and
-    graceful drain (stop accepting, finish the backlog, spill the disk
+    :class:`CountingServer` — accept/reader threads and one solver
+    thread, bounded request queue with admission control, per-client
+    in-flight budgets, signature-keyed coalescing of identical in-flight
+    requests, and graceful drain (stop accepting, finish the backlog, spill the disk
     tiers via ``session.close()``).
 :mod:`~repro.counting.service.client`
     :class:`ServiceClient` — connect/request timeouts, capped

@@ -110,7 +110,7 @@ def _open_cache_db(path: Path, schema: str) -> sqlite3.Connection:
     rotate the wreck aside.
 
     ``check_same_thread=False``: the counting service daemon constructs
-    its engine on the main thread and solves on solver threads, and the
+    its engine on the main thread and solves on its solver thread, and the
     engine serializes every store access under its solve lock — sqlite's
     per-thread affinity check would turn each cross-thread read into a
     spurious degradation.

@@ -12,9 +12,10 @@ Examples::
 
 Every counting artifact runs through one :class:`repro.core.session.MCMLSession`
 built from the parsed configuration: backend by registered name
-(``--backend``), worker fan-out, disk caches and the component cache all
-travel on the session, and successive artifacts of an ``mcml all`` run
-share its memos.
+(``--backend``), disk caches, the component cache and the fallback
+backend all travel on the session, and successive artifacts of an ``mcml
+all`` run share its memos.  Counting is single-threaded within the
+process; ``mcml cluster`` is the multi-process deployment.
 """
 
 from __future__ import annotations
@@ -98,18 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="table1 only: report at paper scopes using closed forms",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="processes to fan cold counting batches out over "
-        "(default 1; 0 = one per core)",
-    )
-    parser.add_argument(
-        "--fanout-min-vars", type=int, default=None, metavar="N",
-        help="intra-problem component fan-out: with --workers > 1 and a "
-        "decomposing backend, one hard problem whose component split has "
-        ">= 2 components of >= N variables is counted through the worker "
-        "pool and the sub-counts multiplied (default: off)",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist model counts and compilations to DIR so re-runs "
         "skip the work (default: off)",
@@ -136,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fallback", default=None, metavar="NAME",
         help="degradation ladder: registered backend failed counts "
-        "(budget/deadline/lost worker) are re-counted on, with explicit "
+        "(budget/deadline) are re-counted on, with explicit "
         "fallback provenance on the results (e.g. approxmc; default: off)",
     )
     parser.add_argument(
@@ -152,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--region-strategy", choices=("conjunction", "per-path"),
         default="conjunction",
-        help="AccMC/DiffMC region route: per-path decomposes each "
+        help="AccMC/DiffMC region route: per-path splits each "
         "tree-region count into its disjoint path cubes (mc(phi&tau) = "
         "sum over paths of mc(phi&path)), deduping shared paths across "
         "trees and cached sessions — on a conditions_cubes backend "
@@ -185,13 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-inflight", type=int, default=8, metavar="N",
         help="per-client budget of unanswered counting requests "
         "(default 8)",
-    )
-    serve.add_argument(
-        "--solver-threads", type=int, default=1, metavar="N",
-        help="solver lanes draining the daemon's queue, each owning its "
-        "own engine clone over the shared cache-dir tiers, so distinct "
-        "formulas count concurrently (identical ones still coalesce); "
-        "mcml cluster gives every shard this many lanes (default 1)",
     )
     serve.add_argument(
         "--read-timeout", type=float, default=300.0, metavar="SECONDS",
@@ -233,7 +215,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         train_fraction=args.train_fraction,
         max_positives=args.max_positives,
-        workers=args.workers,
         cache_dir=args.cache_dir,
         component_cache_mb=args.component_cache_mb,
         component_spill=bool(args.component_spill),
@@ -242,7 +223,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         deadline=args.deadline,
         budget=args.budget,
         region_strategy=args.region_strategy,
-        fanout_min_vars=args.fanout_min_vars,
     )
     if args.properties:
         kwargs["properties"] = tuple(args.properties)
@@ -254,11 +234,9 @@ _CAPABILITY_COLUMNS = {
     "exact": "exact",
     "counts_formulas": "formulas",
     "supports_projection": "projection",
-    "parallel_safe": "parallel",
     "owns_component_cache": "components",
     "conditions_cubes": "cubes",
     "routes": "routes",
-    "decomposes": "decomposes",
 }
 
 
@@ -366,12 +344,10 @@ def serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
     with config.session() as session:
         server = CountingServer(
             session,
-            session_factory=config.session,
             host=args.host,
             port=args.port,
             max_queue=args.max_queue,
             max_inflight_per_client=args.max_inflight,
-            solver_threads=args.solver_threads,
             read_timeout=args.read_timeout,
             default_deadline=args.deadline,
             default_budget=args.budget,
@@ -437,12 +413,10 @@ def cluster(args: argparse.Namespace, config: ExperimentConfig) -> int:
             )
             server = CountingServer(
                 shard_config.session(),
-                session_factory=shard_config.session,
                 host=args.host,
                 port=(args.port + i) if args.port else 0,
                 max_queue=args.max_queue,
                 max_inflight_per_client=args.max_inflight,
-                solver_threads=args.solver_threads,
                 read_timeout=args.read_timeout,
                 default_deadline=args.deadline,
                 default_budget=args.budget,
@@ -507,8 +481,8 @@ def main(argv: list[str] | None = None) -> int:
         else [args.artifact]
     )
     # One session for the whole invocation: an ``mcml all`` run shares
-    # translations, counts and the worker pool across artifacts instead of
-    # rebuilding the plumbing per table.
+    # translations and counts across artifacts instead of rebuilding the
+    # plumbing per table.
     with config.session() as session:
         for artifact in artifacts:
             print(run_artifact(artifact, config, paper_scopes=args.paper_scopes, session=session))

@@ -28,16 +28,20 @@ PAPER_RATIOS = (0.75, 0.50, 0.25, 0.10, 0.01)
 #: The three ratios printed in Tables 2 and 4.
 PRINTED_RATIOS = (0.75, 0.25, 0.01)
 
+#: Registry names (aliases included) whose factories take the experiment seed.
+SEEDED_BACKENDS = ("approx", "approxmc", "composite", "router")
+
 
 def make_counter(name: str, seed: int = 0):
     """Counting backend by registered name (see :func:`repro.counting.make_backend`).
 
     Kept as the experiments-layer spelling: it threads the experiment seed
-    into backends that take one (the approximate counter) and accepts any
-    registry name or alias (``exact``, ``legacy``, ``brute``/``vector``,
-    ``bdd``, ``approxmc``/``approx``).
+    into backends that take one (the approximate counter and the
+    composite router's approx route) and accepts any registry name or
+    alias (``exact``, ``legacy``, ``brute``/``vector``, ``compiled``,
+    ``approxmc``/``approx``, ``composite``/``router``).
     """
-    if name in ("approx", "approxmc"):
+    if name in SEEDED_BACKENDS:
         return make_backend(name, seed=seed)
     return make_backend(name)
 
@@ -51,8 +55,7 @@ class ExperimentConfig:
     ``max_positives`` caps bounded-exhaustive sets so dense properties
     (Reflexive has 4096 positives at scope 4) do not dominate runtime.
     ``counter`` is any registered backend name or alias (``mcml
-    --backend``); ``workers`` fans cold ``count_many`` batches out over
-    that many processes, ``cache_dir`` persists every count *and
+    --backend``); ``cache_dir`` persists every count *and
     compilation* to disk so table re-runs across sessions skip counting
     entirely, and ``component_cache_mb`` bounds the engine-shared
     component cache that lets overlapping counting problems (same φ,
@@ -68,11 +71,6 @@ class ExperimentConfig:
     re-counts failed problems on (``mcml --fallback approxmc``), and
     ``deadline``/``budget`` apply per-problem wall-clock and node limits
     to every metric count made through drivers that accept them.
-    ``fanout_min_vars`` (``mcml --fanout-min-vars``) turns on
-    intra-problem component fan-out: with ``workers > 1`` and a
-    ``decomposes`` backend, one hard problem whose component split
-    yields two or more components of at least that many variables is
-    counted through the worker pool and multiplied back together.
     """
 
     properties: tuple[str, ...] = tuple(p.name for p in PROPERTIES)
@@ -83,7 +81,6 @@ class ExperimentConfig:
     seed: int = 0
     train_fraction: float = 0.10
     max_positives: int | None = 5000
-    workers: int = 1
     cache_dir: str | None = None
     component_cache_mb: float = 512.0
     component_spill: bool = True
@@ -91,7 +88,6 @@ class ExperimentConfig:
     fallback: str | None = None
     deadline: float | None = None
     budget: int | None = None
-    fanout_min_vars: int | None = None
     model_params: dict[str, dict] = field(
         default_factory=lambda: {k: dict(v) for k, v in EXPERIMENT_MODEL_PARAMS.items()}
     )
@@ -106,20 +102,20 @@ class ExperimentConfig:
         return make_counter(self.counter, seed=self.seed)
 
     def engine_config(self) -> EngineConfig:
-        """The counting-engine scaling knobs this experiment asked for."""
+        """The counting-engine knobs this experiment asked for."""
         return EngineConfig(
-            workers=self.workers,
             cache_dir=self.cache_dir,
             component_cache_mb=self.component_cache_mb,
             component_spill=self.component_spill,
             circuit_store=self.circuit_store,
             fallback=self.fallback,
-            fallback_opts={"seed": self.seed} if self.fallback in ("approx", "approxmc") else None,
-            fanout_min_vars=self.fanout_min_vars,
+            fallback_opts=(
+                {"seed": self.seed} if self.fallback in SEEDED_BACKENDS else None
+            ),
         )
 
     def build_engine(self) -> CountingEngine:
-        """A fresh engine over ``build_counter()`` with the scaling knobs."""
+        """A fresh engine over ``build_counter()`` with the engine knobs."""
         return CountingEngine(self.build_counter(), config=self.engine_config())
 
     def session(self) -> MCMLSession:
@@ -127,8 +123,7 @@ class ExperimentConfig:
 
         The one facade every table driver (and the CLI) runs through:
         backend by name, engine knobs, AccMC mode and seed all travel
-        together, and closing the session releases the pool and flushes
-        the disk stores.
+        together, and closing the session flushes the disk stores.
         """
         return MCMLSession(
             engine=self.build_engine(),

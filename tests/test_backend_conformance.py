@@ -5,8 +5,8 @@ One parametrized module runs every registered backend over the 16-property
 declared capabilities advertise), asserting bit-identity of exact backends
 against the closed-form oracles, the (ε, δ) envelope for approximate ones,
 and — flag by flag — that the declared :class:`Capabilities` match actual
-behaviour: formula counting, auxiliary-variable support, clone
-determinism, component-cache ownership, engine store/fan-out gating.
+behaviour: formula counting, auxiliary-variable support, cube
+conditioning, component-cache ownership, routing, engine store gating.
 
 A new backend is a registry entry plus a green run of this module; a
 capability flag that lies fails here before it can mis-route the engine.
@@ -14,7 +14,6 @@ The module also keeps the counting/core packages grep-clean of
 ``hasattr``-based capability sniffing (the API v2 redesign's invariant).
 """
 
-import pickle
 from pathlib import Path
 
 import pytest
@@ -57,7 +56,7 @@ def _count_via_capabilities(backend, problem, num_primary):
 class TestRegistry:
     def test_lists_the_expected_backends(self):
         assert BACKENDS == sorted(
-            ["exact", "legacy", "brute", "bdd", "compiled", "approxmc", "composite"]
+            ["exact", "legacy", "brute", "compiled", "approxmc", "composite"]
         )
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -165,15 +164,6 @@ class TestCapabilityFlagsMatchBehaviour:
             assert backend.count(region) == reference.count(region)
 
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_parallel_safe_flag_means_clone_determinism(self, name, tree_regions):
-        backend = make_backend(name)
-        if not backend.capabilities.parallel_safe:
-            pytest.skip("backend declares itself unsafe to clone-fan-out")
-        clone = pickle.loads(pickle.dumps(backend))
-        for region in tree_regions:
-            assert clone.count(region) == backend.count(region)
-
-    @pytest.mark.parametrize("name", BACKENDS)
     def test_conditions_cubes_flag(self, name, tree_regions):
         """Flag on: ``compile`` yields a circuit whose conditioning is
         bit-identical to conjunction counting.  Off: no ``compile``."""
@@ -187,31 +177,6 @@ class TestCapabilityFlagsMatchBehaviour:
         for region in tree_regions:
             circuit = backend.compile(region)
             assert circuit.condition(()) == ExactCounter().count(region)
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_decomposes_flag(self, name):
-        """Flag on: ``decompose`` returns a split whose counts multiply
-        back to the whole bit-exactly.  Off: no ``decompose`` surface."""
-        backend = make_backend(name)
-        caps = backend.capabilities
-        decompose_attr = getattr(backend, "decompose", _MISSING)
-        assert caps.decomposes == (decompose_attr is not _MISSING)
-        if not caps.decomposes:
-            return
-        assert caps.exact  # fan-out multiplies sub-counts: exact only
-        # Antisymmetry at scope 4: C(4,2) independent 2-variable components.
-        problem = translate(get_property("Antisymmetric"), 4)
-        split = backend.decompose(problem.cnf)
-        assert split is not None
-        multiplier, subs = split
-        assert len(subs) >= 2
-        product = multiplier
-        for sub in subs:
-            product *= backend.count(sub)
-        assert product == backend.count(problem.cnf)
-        # A connected problem declines: callers fall through to count().
-        connected = translate(get_property("PartialOrder"), 3)
-        assert backend.decompose(connected.cnf) is None
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_owns_component_cache_flag(self, name):
@@ -270,7 +235,7 @@ class TestEngineNegotiatesThroughCapabilities:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_accmc_rejects_unroutable_backends_at_the_routing_layer(self, name):
         """Backends serving neither AccMC route fail with a capability error,
-        not a deep backend exception (e.g. ``mcml table9 --backend bdd``)."""
+        not a deep backend exception (e.g. ``mcml table9 --backend compiled``)."""
         from repro.core.accmc import AccMC
 
         caps = backend_capabilities(name)

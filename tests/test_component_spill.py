@@ -9,11 +9,11 @@ Covers:
   rotates aside and reads as misses — engine construction never crashes);
 * the :class:`ComponentCache` spill tier — evict→spill→promote round trips,
   ``spill_all`` at engine close, warm-restart promotions surfacing as
-  ``EngineStats.component_spill_hits``, ``component_spill=0`` opt-out, and
-  pickled caches/counters detaching the store (worker clones);
+  ``EngineStats.component_spill_hits``, and the ``component_spill=0``
+  opt-out;
 * the per-path route — ``CountRequest(strategy="per-path")`` validation and
   expansion, engine-level sum correctness and sub-problem dedup, rejection
-  on approximate backends, the worker-pool guard, and AccMC bit-identity of
+  on approximate backends, and AccMC bit-identity of
   the per-path vs conjunction routes over the 16-property × scope 2–4
   matrix (both construction modes);
 * the knob plumbing — ``EngineConfig``/``MCMLSession``/CLI defaults.
@@ -171,25 +171,6 @@ class TestSpillTier:
         assert cache.get(_key((1, 0))) is None
         assert cache.misses == 1 and cache.spill_hits == 0
         store.close()
-
-    def test_pickled_cache_detaches_spill(self, tmp_path):
-        store = ComponentStore(tmp_path)
-        cache = ComponentCache()
-        cache.attach_spill(store)
-        cache.put(_key((1, 0)), 3)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.spill is None
-        assert clone.get(_key((1, 0))) == 3  # entries themselves travel
-        assert cache.spill is store  # the original keeps its tier
-        store.close()
-
-    def test_counter_with_spill_attached_pickles(self, tmp_path):
-        engine = CountingEngine(config=EngineConfig(cache_dir=tmp_path))
-        engine.solve(_phi())
-        clone = pickle.loads(pickle.dumps(engine.counter))
-        assert clone.component_cache.spill is None
-        assert clone.count(_phi()) == 42
-        engine.close()
 
 
 # -- engine-level spill semantics ----------------------------------------------------
@@ -354,17 +335,6 @@ class TestPerPathRequests:
         request = CountRequest.from_cnf(_phi(), strategy="per-path", cubes=((1,),))
         with pytest.raises(ValueError, match="per-path"):
             engine.solve(request)
-
-    def test_worker_pool_refuses_unexpanded_per_path(self):
-        from repro.counting.parallel import WorkerPool
-
-        request = CountRequest.from_cnf(_phi(), strategy="per-path", cubes=((1,),))
-        pool = WorkerPool(pickle.dumps(None), workers=1)
-        try:
-            with pytest.raises(ValueError, match="expand"):
-                pool.run([request])
-        finally:
-            pool.close()
 
     def test_request_pickles(self):
         request = CountRequest.from_cnf(

@@ -58,6 +58,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_counter("quantum")
 
+    def test_composite_counter_gets_the_experiment_seed(self):
+        import random
+
+        counter = ExperimentConfig(counter="composite", seed=7).build_counter()
+        approx = counter._targets["approxmc"]
+        assert approx._rng.getstate() == random.Random(7).getstate()
+        assert approx._rng.getstate() != random.Random(0).getstate()
+
+    def test_composite_fallback_gets_the_experiment_seed(self):
+        config = ExperimentConfig(fallback="composite", seed=7).engine_config()
+        assert config.fallback_opts == {"seed": 7}
+        router = ExperimentConfig(fallback="router", seed=3).engine_config()
+        assert router.fallback_opts == {"seed": 3}
+
     def test_scope_override(self):
         from repro.spec import get_property
 

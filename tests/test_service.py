@@ -86,10 +86,6 @@ class DelayCounter:
         time.sleep(self.delay)
         return self._inner.count(cnf)
 
-    def decompose(self, cnf: CNF, min_component_vars: int = 2):
-        # The copied capabilities claim ``decomposes``; honour them.
-        return self._inner.decompose(cnf, min_component_vars=min_component_vars)
-
 
 @contextmanager
 def running_server(session, **kwargs):
@@ -176,7 +172,6 @@ class TestWireSerialization:
             backend="exact",
             cause=CounterTimeout("past 2.0s"),
             elapsed_seconds=2.01,
-            retries=1,
         )
         payload = failure.to_dict()
         assert isinstance(payload["cause"], str)
@@ -184,13 +179,12 @@ class TestWireSerialization:
         assert again.kind == "timeout"
         assert again.backend == "exact"
         assert again.elapsed_seconds == pytest.approx(2.01)
-        assert again.retries == 1
         assert isinstance(again.cause, CounterTimeout)
 
     def test_count_failure_without_cause_stays_causeless(self):
-        failure = CountFailure("worker-lost", "worker died", backend="exact")
+        failure = CountFailure("error", "backend gave up", backend="exact")
         again = CountFailure.from_dict(failure.to_dict())
-        assert again.kind == "worker-lost"
+        assert again.kind == "error"
         assert again.cause is None
 
 
@@ -361,7 +355,7 @@ class TestMetricVerbs:
 
 class TestCoalescing:
     def test_identical_concurrent_requests_cost_one_computation(self):
-        engine = CountingEngine(DelayCounter(0.5), EngineConfig(workers=1))
+        engine = CountingEngine(DelayCounter(0.5), EngineConfig())
         cnf = CNF(num_vars=3, clauses=[(1, 2), (-1, 3)])
         with MCMLSession(engine=engine) as session:
             with running_server(session) as (server, host, port):
@@ -387,7 +381,7 @@ class TestCoalescing:
                 assert wait_until(lambda: server._counters["served"] == 4)
 
     def test_queue_full_is_a_typed_overloaded_rejection(self):
-        engine = CountingEngine(DelayCounter(0.8), EngineConfig(workers=1))
+        engine = CountingEngine(DelayCounter(0.8), EngineConfig())
         with MCMLSession(engine=engine) as session:
             with running_server(session, max_queue=1) as (server, host, port):
                 problems = [
@@ -417,7 +411,7 @@ class TestCoalescing:
                 assert server._counters["rejected_overloaded"] == 1
 
     def test_per_client_inflight_budget(self):
-        engine = CountingEngine(DelayCounter(0.8), EngineConfig(workers=1))
+        engine = CountingEngine(DelayCounter(0.8), EngineConfig())
         with MCMLSession(engine=engine) as session:
             with running_server(session, max_inflight_per_client=1) as (_, host, port):
                 sock = socket.create_connection((host, port), timeout=10)
@@ -501,179 +495,3 @@ class TestEngineLock:
             assert session.engine.stats.backend_calls == len(problems)
             assert session.engine.stats.count_calls == len(problems) * 10
             assert session.engine.stats.count_hits == session.engine.stats.count_calls - len(problems)
-
-
-# -- solver lanes (PR 10: concurrent counting lanes) ---------------------------------
-
-
-def delay_session(delay: float = 0.4) -> MCMLSession:
-    """A session over its own DelayCounter engine — one concurrency lane."""
-    return MCMLSession(engine=CountingEngine(DelayCounter(delay)))
-
-
-class TestSolverLanes:
-    def test_two_lane_matrix_bit_identical_to_one_lane(self, tmp_path):
-        """16 properties x scopes 2-4, two lanes vs one: values may not move."""
-        from repro.spec.properties import PROPERTIES
-
-        batch = [
-            translate(prop, scope).cnf
-            for prop in PROPERTIES
-            for scope in (2, 3, 4)
-        ]
-        with MCMLSession(backend="exact", cache_dir=str(tmp_path / "one")) as session:
-            with running_server(session) as (_, host, port):
-                with ServiceClient(host, port) as client:
-                    one_lane = [r.value for r in client.solve_many(batch)]
-
-        two_cache = str(tmp_path / "two")
-        factory = lambda: MCMLSession(backend="exact", cache_dir=two_cache)  # noqa: E731
-        two_lane: list[int | None] = [None] * len(batch)
-        errors: list[Exception] = []
-        with running_server(
-            factory(), solver_threads=2, session_factory=factory
-        ) as (server, host, port):
-
-            def worker(offset: int) -> None:
-                try:
-                    with ServiceClient(host, port) as client:
-                        for index in range(offset, len(batch), 3):
-                            two_lane[index] = client.solve(batch[index]).value
-                except Exception as exc:  # noqa: BLE001 - asserted below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-            assert not errors
-            assert wait_until(
-                lambda: sum(e["jobs"] for e in server.stats_payload()["service"]["lanes"])
-                >= len(batch)
-            )
-            payload = server.stats_payload()
-        assert two_lane == one_lane
-        assert payload["service"]["solver_threads"] == 2
-        assert len(payload["service"]["lanes"]) == 2
-
-    def test_two_distinct_slow_requests_overlap_in_wall_clock(self):
-        """Two 0.4s problems on two lanes must beat 0.8x the serial sum."""
-        delay = 0.4
-        problems = [
-            CNF(num_vars=3, clauses=[(1,), (2, 3)]),
-            CNF(num_vars=3, clauses=[(-1,), (2,)]),
-        ]
-        expected = [ExactCounter().count(p) for p in problems]
-        results: list[int | None] = [None] * len(problems)
-        errors: list[Exception] = []
-        with running_server(
-            delay_session(delay),
-            solver_threads=2,
-            session_factory=lambda: delay_session(delay),
-        ) as (server, host, port):
-
-            def worker(index: int) -> None:
-                try:
-                    with ServiceClient(host, port, request_timeout=30) as client:
-                        results[index] = client.solve(problems[index]).value
-                except Exception as exc:  # noqa: BLE001 - asserted below
-                    errors.append(exc)
-
-            started = time.monotonic()
-            threads = [
-                threading.Thread(target=worker, args=(i,))
-                for i in range(len(problems))
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            elapsed = time.monotonic() - started
-            assert not errors
-            assert results == expected
-            # Sleep releases the GIL, so distinct problems on distinct
-            # lanes overlap; serial lanes would take >= 2 * delay.
-            assert elapsed < 0.8 * (len(problems) * delay)
-            assert wait_until(
-                lambda: all(
-                    e["jobs"] >= 1
-                    for e in server.stats_payload()["service"]["lanes"]
-                )
-            )
-
-    def test_cross_lane_coalescing_eight_identical_cost_one_backend_call(self):
-        """Coalescing is pre-queue: identical concurrent requests collapse
-        to one job on one lane even with two lanes draining."""
-        sessions = [delay_session(0.4)]
-
-        def factory() -> MCMLSession:
-            session = delay_session(0.4)
-            sessions.append(session)
-            return session
-
-        problem = property_cnf("Transitive", 3)
-        expected = ExactCounter().count(problem)
-        results: list[int | None] = [None] * 8
-        errors: list[Exception] = []
-        with running_server(
-            sessions[0], solver_threads=2, session_factory=factory
-        ) as (_, host, port):
-
-            def worker(index: int) -> None:
-                try:
-                    with ServiceClient(host, port, request_timeout=30) as client:
-                        results[index] = client.solve(problem).value
-                except Exception as exc:  # noqa: BLE001 - asserted below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not errors
-            assert results == [expected] * 8
-        # Lane sessions do not share an in-process memo, so one total
-        # backend call across them is cross-lane coalescing at work.
-        assert (
-            sum(s.engine.stats.backend_calls for s in sessions) == 1
-        ), [s.engine.stats.backend_calls for s in sessions]
-
-    def test_lane_counters_track_jobs_and_failures(self):
-        hard = CountRequest.from_cnf(
-            translate(get_property("PartialOrder"), 4).cnf, budget=10
-        )
-        with MCMLSession(backend="exact") as session:
-            with running_server(
-                session, solver_threads=2, session_factory=lambda: MCMLSession(backend="exact")
-            ) as (server, host, port):
-                with ServiceClient(host, port) as client:
-                    client.solve(property_cnf("Reflexive", 3))
-                    outcome = client.solve(hard, on_failure="return")
-                    assert isinstance(outcome, CountFailure)
-                    assert outcome.kind == "budget"
-                    assert wait_until(
-                        lambda: sum(
-                            e["failures"]
-                            for e in server.stats_payload()["service"]["lanes"]
-                        )
-                        == 1
-                    )
-                    payload = client.stats()
-        lanes = payload["service"]["lanes"]
-        assert len(lanes) == 2
-        assert all(set(e) == {"jobs", "served", "failures"} for e in lanes)
-        assert sum(e["jobs"] for e in lanes) >= 2
-        # The engine block sums the per-lane sessions, so the stats verb
-        # keeps one coherent engine story across lanes.
-        assert payload["engine"]["backend_calls"] >= 1
-
-    def test_one_lane_without_factory_degenerates_to_the_old_shape(self, exact_service):
-        session, server, host, port = exact_service
-        with ServiceClient(host, port) as client:
-            client.count(property_cnf("Reflexive", 3))
-            payload = client.stats()
-        assert payload["service"]["solver_threads"] == 1
-        assert len(payload["service"]["lanes"]) == 1
-        assert payload["engine"] == protocol.engine_stats_payload(session)["engine"]

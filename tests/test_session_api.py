@@ -118,24 +118,6 @@ class TestTypedSolvePath:
         value = engine.solve(_cnf("PartialOrder", 4, symmetry=None)).value
         assert value > 0
 
-    def test_worker_pool_honours_request_budgets(self):
-        import pickle as _pickle
-
-        from repro.counting.parallel import WorkerPool
-
-        hard = _cnf("PartialOrder", 4, symmetry=None)
-        pool = WorkerPool(_pickle.dumps(ExactCounter()), workers=2)
-        try:
-            with pytest.raises(CounterBudgetExceeded):
-                pool.run([CountRequest.from_cnf(hard, budget=2)] * 2)
-            # The override is per problem: the pool still counts unbudgeted
-            # requests afterwards with the backend default.
-            easy = _cnf("Reflexive", 2, symmetry=None)
-            values = pool.run([CountRequest.from_cnf(easy), easy])
-            assert values[0] == values[1]
-        finally:
-            pool.close()
-
     def test_shims_equal_typed_path(self):
         engine = CountingEngine()
         cnf = _cnf("Antisymmetric")
@@ -267,13 +249,14 @@ class TestCLISurface:
     def test_list_backends_flag(self, capsys):
         assert main(["--list-backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("exact", "legacy", "brute", "bdd", "compiled", "approxmc"):
+        for name in ("exact", "legacy", "brute", "compiled", "approxmc", "composite"):
             assert name in out
         # One column per declared capability flag.
-        for column in (
-            "exact", "formulas", "projection", "parallel", "components", "cubes",
-        ):
+        for column in ("exact", "formulas", "projection", "components", "cubes", "routes"):
             assert column in out
+        # The deleted capability flags and backend are gone from the listing.
+        for gone in ("parallel", "decomposes", "bdd"):
+            assert gone not in out
 
     def test_backend_flag_flows_into_config(self):
         args = build_parser().parse_args(["table9", "--backend", "legacy"])
@@ -285,22 +268,22 @@ class TestCLISurface:
     def test_listing_renders_every_backend(self):
         text = list_backends()
         assert "vector" in text and "approx" in text and "circuit" in text
-        # The compiled row declares cube conditioning; bdd's does not.
+        # The compiled row declares cube conditioning; exact has no aliases.
         compiled_row = next(l for l in text.splitlines() if "compiled" in l)
-        bdd_row = next(l for l in text.splitlines() if " bdd " in f" {l} ")
+        exact_row = next(l for l in text.splitlines() if l.split()[:1] == ["exact"])
         assert compiled_row.split()[1:-1].count("yes") >= 2
-        assert bdd_row.rstrip().endswith("-")
+        assert exact_row.rstrip().endswith("-")
 
     def test_backend_runs_end_to_end(self, capsys):
         # Fast end-to-end runs for non-default backends: the legacy exact
-        # counter drives Table 9, the OBDD backend drives Table 8 (its
-        # region CNFs are auxiliary-free, the one shape bdd serves).
+        # counter drives Table 9, the compiled backend drives Table 8 (its
+        # region CNFs are auxiliary-free, the one shape compiled serves).
         assert main(["table9", "--scope", "3", "--backend", "legacy"]) == 0
         assert "Table 9" in capsys.readouterr().out
         assert (
             main(
                 [
-                    "table8", "--scope", "3", "--backend", "bdd",
+                    "table8", "--scope", "3", "--backend", "compiled",
                     "--properties", "Reflexive",
                 ]
             )
