@@ -460,6 +460,27 @@ class TestStats:
         (client_stats,) = service["clients"].values()
         assert client_stats["requests"] >= 2  # the solve + the stats call
 
+    def test_one_solver_thread_tracks_jobs_and_failures(self, exact_service):
+        session, server, host, port = exact_service
+        hard = CountRequest.from_cnf(
+            translate(get_property("PartialOrder"), 4).cnf, budget=10
+        )
+        with ServiceClient(host, port) as client:
+            client.solve(property_cnf("Reflexive", 3))
+            outcome = client.solve(hard, on_failure="return")
+            assert isinstance(outcome, CountFailure)
+            assert outcome.kind == "budget"
+            assert wait_until(
+                lambda: server.stats_payload()["service"]["counters"]["failures"] == 1
+            )
+            payload = client.stats()
+        service = payload["service"]
+        # One solver thread over one session: no per-lane breakdown.
+        assert "lanes" not in service and "solver_threads" not in service
+        assert service["counters"]["served"] >= 1
+        assert payload["engine"] == protocol.engine_stats_payload(session)["engine"]
+        assert payload["engine"]["backend_calls"] >= 1
+
 
 # -- the engine lock (satellite: documented concurrency contract) --------------------
 
