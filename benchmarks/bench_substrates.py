@@ -12,11 +12,9 @@ from repro.core.tree2cnf import label_cubes, label_region_cnf, tree_paths_formul
 from repro.counting import (
     ApproxMCCounter,
     CompiledCounter,
-    CompositeCounter,
     CountingEngine,
     ExactCounter,
     FormulaBruteCounter,
-    LegacyExactCounter,
 )
 from repro.logic.cnf import CNF
 from repro.logic.tseitin import direct_cnf, tseitin_cnf
@@ -63,20 +61,11 @@ class TestCounterAblation:
         count = benchmark(lambda: ExactCounter().count(partial_order_cnf))
         assert count > 0
 
-    def test_legacy_exact_counter(self, benchmark, partial_order_cnf):
-        """The seed's tuple-clause algorithm — the packed rewrite's baseline."""
-        count = benchmark.pedantic(
-            lambda: LegacyExactCounter().count(partial_order_cnf),
-            rounds=3,
-            iterations=1,
-        )
-        assert count == ExactCounter().count(partial_order_cnf)
-
     def test_counting_engine_warm(self, benchmark, partial_order_cnf):
         """A memo hit through the CountingEngine (the AccMC steady state)."""
         engine = CountingEngine()
-        cold = engine.count(partial_order_cnf)
-        warm = benchmark(lambda: engine.count(partial_order_cnf))
+        cold = engine.solve(partial_order_cnf).value
+        warm = benchmark(lambda: engine.solve(partial_order_cnf).value)
         assert warm == cold
 
     def test_approxmc_counter(self, benchmark, partial_order_cnf):
@@ -104,16 +93,6 @@ class TestCounterAblation:
         )
         count = benchmark(lambda: circuit.condition(cube))
         assert count == exact
-
-    def test_composite_router(self, benchmark, partial_order_cnf):
-        # The routing backend on the ablation instance: the Tseitin
-        # auxiliaries send it down the exact route, so the delta vs
-        # test_exact_counter is the price of dispatch itself.
-        backend = CompositeCounter()
-        route = backend.route(partial_order_cnf)
-        assert route.rule.target == "exact"
-        count = benchmark(lambda: CompositeCounter().count(partial_order_cnf))
-        assert count == ExactCounter().count(partial_order_cnf)
 
     def test_formula_brute_counter(self, benchmark):
         problem = translate(get_property("PartialOrder"), 4, symmetry=SymmetryBreaking())

@@ -53,11 +53,9 @@ OUTPUT = REPO_ROOT / "BENCH_counting.json"
 #: benchmark test name -> backend label in the JSON
 BACKENDS = {
     "test_exact_counter": "exact",
-    "test_legacy_exact_counter": "exact-legacy",
     "test_counting_engine_warm": "engine-warm",
     "test_approxmc_counter": "approxmc",
     "test_compiled_conditioning_on_tree_region": "compiled-conditioning",
-    "test_composite_router": "composite",
     "test_formula_brute_counter": "formula-brute",
 }
 

@@ -6,9 +6,10 @@ paper's table drivers.  Before this facade each consumer wired its own
 engine/config/store plumbing by hand; a session owns that plumbing once:
 
 * one :class:`~repro.counting.engine.CountingEngine` over a backend chosen
-  by registered name (:func:`repro.counting.api.make_backend`), carrying
-  the persistence knobs (disk-persistent count and compilation stores,
-  shared component cache) and the fallback backend;
+  by registered name (:func:`repro.counting.api.make_backend`, with the
+  session seed threaded into backends that take one), carrying the
+  persistence knobs (one ``cache_dir`` for every disk tier, the shared
+  component cache) and the fallback backend;
 * one :class:`~repro.core.pipeline.MCMLPipeline` for dataset generation
   and model training, sharing the session seed;
 * the metric entry points — :meth:`accmc`, :meth:`diffmc`, :meth:`bnnmc`,
@@ -50,6 +51,7 @@ from repro.counting.api import (
     CountRequest,
     CountResult,
     make_backend,
+    seeded_opts,
 )
 from repro.counting.engine import CountingEngine, EngineConfig
 from repro.logic.cnf import CNF
@@ -70,27 +72,28 @@ class MCMLSession(CountingSurface):
     Parameters
     ----------
     backend:
-        Registered backend name (``exact``, ``legacy``, ``brute``,
-        ``compiled``, ``approxmc``, ``composite`` or an alias);
-        ``backend_opts`` are passed to the factory.  Ignored when
+        Registered backend name (``exact``, ``brute``, ``compiled``,
+        ``approxmc`` or an alias); ``backend_opts`` are passed to the
+        factory, plus ``seed`` for backends that take one (see
+        :func:`~repro.counting.api.seeded_opts`).  Ignored when
         ``engine`` is supplied.
     engine:
         An existing :class:`CountingEngine` to adopt instead of building
         one — the session then shares (and on ``close()`` releases) it.
-    cache_dir / component_cache_mb / component_spill / circuit_store:
-        The :class:`EngineConfig` persistence knobs (``component_spill``
-        persists the component cache under ``cache_dir`` so component
-        work survives session restarts; ``circuit_store`` persists the
-        compiled circuits of a ``conditions_cubes`` backend the same way,
-        so a warm restart conditions without a single recompilation.
-        Both on by default; ``0``/``False`` opts out).
+    cache_dir / component_cache_mb:
+        The :class:`EngineConfig` persistence knobs.  ``cache_dir`` holds
+        every disk tier: counts, compilations, the component-cache spill
+        and, on a ``conditions_cubes`` backend, the compiled circuits, so
+        a warm restart neither recounts nor recompiles.
     fallback / fallback_opts:
         The degradation ladder: a registered backend name failed problems
         (budget, deadline) are re-counted on, with explicit
         ``source="fallback"`` provenance on the results — e.g.
         ``fallback="approxmc"`` trades exactness for an answer when the
         exact backend cannot finish in budget.  ``None`` (default)
-        disables it.  See :class:`EngineConfig`.
+        disables it.  The session seed reaches a seeded fallback the
+        same way it reaches the primary backend.  See
+        :class:`EngineConfig`.
     accmc_mode:
         Default AccMC construction (``"derived"`` or the paper's
         ``"product"``); overridable per :meth:`accmc` call.
@@ -105,7 +108,8 @@ class MCMLSession(CountingSurface):
         fall back to the conjunction route; both routes are
         bit-identical.
     seed:
-        Master seed for dataset generation, splitting and training.
+        Master seed for dataset generation, splitting and training, and
+        for seeded counting backends (``approxmc``).
     """
 
     def __init__(
@@ -116,8 +120,6 @@ class MCMLSession(CountingSurface):
         backend_opts: dict | None = None,
         cache_dir=None,
         component_cache_mb: float = 512.0,
-        component_spill: bool = True,
-        circuit_store: bool = True,
         fallback: str | None = None,
         fallback_opts: dict | None = None,
         deadline: float | None = None,
@@ -127,16 +129,18 @@ class MCMLSession(CountingSurface):
         seed: int = 0,
     ) -> None:
         if engine is None:
-            counter = make_backend(backend, **(backend_opts or {}))
+            counter = make_backend(backend, **seeded_opts(backend, seed, backend_opts))
             engine = CountingEngine(
                 counter,
                 config=EngineConfig(
                     cache_dir=cache_dir,
                     component_cache_mb=component_cache_mb,
-                    component_spill=component_spill,
-                    circuit_store=circuit_store,
                     fallback=fallback,
-                    fallback_opts=fallback_opts,
+                    fallback_opts=(
+                        seeded_opts(fallback, seed, fallback_opts)
+                        if fallback is not None
+                        else None
+                    ),
                 ),
             )
         self.engine = engine

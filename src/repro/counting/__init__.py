@@ -1,8 +1,10 @@
 """Model counting back-ends.
 
 MCML reduces every whole-input-space metric to model counting.  The paper
-uses two external tools; we implement both families natively, plus more
-back-ends used for validation and ablation.  Counting is single-threaded
+uses two external tools, an exact projected counter and ApproxMC; we
+implement both natively as the ``exact`` and ``approxmc`` backends, plus
+``brute`` (the differential ground truth) and ``compiled`` (cube
+conditioning on a compiled circuit).  Counting is single-threaded
 within a process; separate processes share work through the disk stores
 (and the counting service cluster shards by signature):
 
@@ -23,8 +25,6 @@ within a process; separate processes share work through the disk stores
 * :mod:`repro.counting.oracles` — closed-form combinatorial counts for the
   16 relational properties (Bell numbers, labeled posets, …), used to check
   Table 1 at paper scopes without running a counter.
-* :mod:`repro.counting.legacy` — the tuple-based predecessor of the packed
-  exact counter, kept as a differential baseline.
 * :mod:`repro.counting.api` — the typed service contract: frozen
   :class:`CountRequest`/:class:`CountResult` objects, the
   :class:`Capabilities` declaration every backend carries, the
@@ -34,9 +34,8 @@ within a process; separate processes share work through the disk stores
 * :mod:`repro.counting.engine` — :class:`CountingEngine`, the shared,
   memoizing facade AccMC/DiffMC and the experiment drivers count through,
   configured by :class:`EngineConfig` (disk cache, shared component
-  cache, fallback backend); ``solve``/``solve_many`` return typed
-  :class:`CountResult`\\ s, ``count``/``count_many`` remain bare-``int``
-  shims.
+  cache, fallback backend); ``solve``/``solve_many``/``solve_formula``
+  return typed :class:`CountResult`\\ s.
 * :mod:`repro.counting.component_cache` — :class:`ComponentCache`, the
   bounded LRU of counted components that persists across counting calls
   and is shared engine-wide.
@@ -88,9 +87,7 @@ from repro.counting.exact import (
     ExactCounter,
     exact_count,
 )
-from repro.counting.legacy import LegacyExactCounter
 from repro.counting.oracles import closed_form_count
-from repro.counting.router import CompositeCounter, Route, RoutingRule
 from repro.counting.store import (
     BlobStore,
     CircuitStore,
@@ -109,7 +106,6 @@ __all__ = [
     "CircuitBuilder",
     "CircuitStore",
     "CompiledCounter",
-    "CompositeCounter",
     "ComponentCache",
     "ComponentStore",
     "CountFailure",
@@ -125,9 +121,6 @@ __all__ = [
     "EngineStats",
     "ExactCounter",
     "FormulaBruteCounter",
-    "LegacyExactCounter",
-    "Route",
-    "RoutingRule",
     "approx_count",
     "available_backends",
     "backend_capabilities",

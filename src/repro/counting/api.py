@@ -11,23 +11,23 @@ This module makes the contract explicit:
   mode + node budget) and the typed answer (count, exactness, backend
   name, wall time, cache provenance, engine-stats delta).  The
   :class:`~repro.counting.engine.CountingEngine`'s ``solve``/``solve_many``
-  speak these; the historical ``count``/``count_many`` survive as thin
-  bare-``int`` shims over them.
+  speak these.
 * :class:`Capabilities` — what a backend can actually do, declared once as
   a dataclass instead of being sniffed per call site: exactness (counts
   portable across backends/sessions), formula counting (AccMC's
   vectorised fast path), projection support (Tseitin auxiliaries allowed
   in clauses), component-cache ownership (the engine may install a shared
-  cache), cube conditioning and routing.  Engine routing, store gating and
+  cache) and cube conditioning.  Store gating, cache installation and
   consumer fast paths all negotiate through these flags only.
 * :class:`CounterBackend` — the structural protocol every backend
   satisfies: ``name``, ``capabilities``, ``count(cnf) -> int``.
 * the **backend registry** — every backend is constructible by name via
-  :func:`make_backend` (``exact``, ``legacy``, ``brute``, ``compiled``,
-  ``approxmc``, ``composite``, plus aliases) and enumerable via
+  :func:`make_backend` (``exact``, ``brute``, ``compiled`` and
+  ``approxmc``, plus aliases) and enumerable via
   :func:`available_backends`, which is what ``mcml --backend NAME`` and
-  the conformance suite iterate over.  A new backend is a registry entry
-  plus a conformance-suite run.
+  the conformance suite iterate over; :func:`seeded_opts` threads a
+  session or experiment seed into the backends that take one.  A new
+  backend is a registry entry plus a conformance-suite run.
 
 The module sits below the engine (it imports only :mod:`repro.logic.cnf`),
 so backends and the engine can both import from it without cycles; the
@@ -56,6 +56,7 @@ __all__ = [
     "capabilities_of",
     "make_backend",
     "register_backend",
+    "seeded_opts",
 ]
 
 #: Attribute-absence sentinel (capability inference never uses ``hasattr``).
@@ -96,16 +97,6 @@ class Capabilities:
         Implies ``exact`` — conditioning results carry
         ``source="circuit"`` provenance and are persisted like any exact
         count.
-    routes:
-        The backend exposes ``route(cnf, prefer_exact=…) ->``
-        :class:`~repro.counting.router.Route`: it is a dispatcher over
-        other registered backends rather than a counter of its own, and
-        the engine asks it *where* each problem should go before counting
-        so the decision can be surfaced as provenance
-        (:attr:`CountResult.routed_to`, per-route :class:`EngineStats`
-        counters) and so approximate routes are never memoized or
-        persisted even though the routing backend declares ``exact``
-        (its exact routes are).
     """
 
     exact: bool
@@ -113,7 +104,6 @@ class Capabilities:
     supports_projection: bool = False
     owns_component_cache: bool = False
     conditions_cubes: bool = False
-    routes: bool = False
 
     def as_dict(self) -> dict[str, bool]:
         """Flag mapping, e.g. for benchmark/CLI provenance records."""
@@ -445,13 +435,6 @@ class CountResult:
     ``fallback_from`` names the backend that failed, ``exact`` reflects
     the *fallback* backend's guarantee, and ``epsilon``/``delta`` carry
     its (ε, δ) tolerance when it is approximate.
-
-    A result produced through a routing backend (``capabilities.routes``,
-    e.g. ``composite``) additionally carries ``routed_to``: the name of
-    the concrete backend the router dispatched the problem to.
-    ``backend`` stays the routing backend's own name (the session-level
-    provenance), ``exact``/``epsilon``/``delta`` reflect the *target*
-    backend's guarantee.
     """
 
     value: int
@@ -460,7 +443,6 @@ class CountResult:
     source: str
     elapsed_seconds: float = 0.0
     fallback_from: str | None = None
-    routed_to: str | None = None
     epsilon: float | None = None
     delta: float | None = None
     stats_delta: "EngineStats | None" = field(default=None, compare=False)
@@ -507,8 +489,6 @@ class CountResult:
         }
         if self.fallback_from is not None:
             out["fallback_from"] = self.fallback_from
-        if self.routed_to is not None:
-            out["routed_to"] = self.routed_to
         if self.epsilon is not None:
             out["epsilon"] = self.epsilon
         if self.delta is not None:
@@ -528,7 +508,6 @@ class CountResult:
             source=payload["source"],
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
             fallback_from=payload.get("fallback_from"),
-            routed_to=payload.get("routed_to"),
             epsilon=payload.get("epsilon"),
             delta=payload.get("delta"),
             stats_delta=EngineStats(**delta) if delta is not None else None,
@@ -663,9 +642,11 @@ class EngineStats:
 
     ``count_calls`` splits exactly into ``count_hits`` (in-memory memo),
     ``store_hits`` (disk store), ``circuit_hits`` (answered by
-    conditioning a compiled circuit on a cube) and ``backend_calls``
-    (actual counting work) — a warm re-run shows
-    ``backend_calls == 0``.
+    conditioning a compiled circuit on a cube), ``backend_calls``
+    (counting work that completed) and ``aborts`` (cold problems whose
+    count, or whose circuit compilation, aborted on a node budget or a
+    wall-clock deadline — whether or not the fallback then answered
+    them) — a warm re-run shows ``backend_calls == 0``.
 
     The circuit tier has its own counters: ``circuit_compilations``
     counts base formulas compiled to a circuit this session (compiling is
@@ -683,21 +664,13 @@ class EngineStats:
     large ``component_spill_hits``.
 
     The failure-path counters observe the robustness layer:
-    ``timeouts`` counts problems aborted by a wall-clock deadline
+    ``timeouts`` counts the aborts caused by a wall-clock deadline
     (cooperative ``CounterTimeout``);
-    ``fallbacks`` problems the degradation ladder re-routed to the
+    ``fallbacks`` problems the degradation ladder re-counted on the
     configured fallback backend;
     ``store_degradations`` disk-tier degradation events (corrupt database
     rotated aside, unreadable row read as a miss, swallowed write
     failure) across all four disk tiers.
-
-    The routing counters observe a ``routes`` backend (``composite``):
-    ``route_exact``/``route_compiled``/``route_approx`` count cold
-    problems dispatched to each target backend, so a session's routing
-    mix is auditable after the fact (cache hits never route — only
-    ``backend_calls`` show up here, and
-    ``route_exact + route_compiled + route_approx == backend_calls``
-    for a pure-routing session).
     """
 
     count_calls: int = 0
@@ -705,6 +678,7 @@ class EngineStats:
     store_hits: int = 0
     circuit_hits: int = 0
     backend_calls: int = 0
+    aborts: int = 0
     circuit_compilations: int = 0
     circuit_store_hits: int = 0
     component_spill_hits: int = 0
@@ -717,9 +691,6 @@ class EngineStats:
     timeouts: int = 0
     fallbacks: int = 0
     store_degradations: int = 0
-    route_exact: int = 0
-    route_compiled: int = 0
-    route_approx: int = 0
 
     @property
     def count_misses(self) -> int:
@@ -748,6 +719,7 @@ class EngineStats:
 class _BackendEntry:
     factory: Callable[..., object]
     aliases: tuple[str, ...] = ()
+    seeded: bool = False
 
 
 #: canonical name -> entry; aliases resolve through :func:`_resolve`.
@@ -759,14 +731,18 @@ def register_backend(
     factory: Callable[..., object],
     *,
     aliases: Iterable[str] = (),
+    seeded: bool = False,
 ) -> None:
     """Register (or replace) a backend factory under ``name``.
 
     ``factory(**opts)`` must return an object satisfying
     :class:`CounterBackend`.  Aliases resolve to the canonical name but do
-    not show up in :func:`available_backends`.
+    not show up in :func:`available_backends`.  ``seeded`` declares that
+    the factory takes a ``seed`` option (see :func:`seeded_opts`).
     """
-    _REGISTRY[name] = _BackendEntry(factory=factory, aliases=tuple(aliases))
+    _REGISTRY[name] = _BackendEntry(
+        factory=factory, aliases=tuple(aliases), seeded=seeded
+    )
     _CAPABILITY_CACHE.pop(name, None)
 
 
@@ -783,6 +759,22 @@ def _resolve(name: str) -> str:
 def make_backend(name: str, **opts):
     """Construct a registered backend by (canonical or alias) name."""
     return _REGISTRY[_resolve(name)].factory(**opts)
+
+
+def seeded_opts(name: str, seed: int, opts: dict | None = None) -> dict:
+    """Factory options for ``name`` with ``seed`` threaded in if it takes one.
+
+    The one place that decides which backends receive a session or
+    experiment seed: :class:`~repro.core.session.MCMLSession` and
+    :class:`~repro.experiments.config.ExperimentConfig` both build their
+    primary and fallback backends through it, so the two constructions
+    count identically for every seed.  An explicit ``seed`` in ``opts``
+    wins.
+    """
+    out = dict(opts or {})
+    if _REGISTRY[_resolve(name)].seeded:
+        out.setdefault("seed", seed)
+    return out
 
 
 def available_backends() -> list[str]:
@@ -831,12 +823,6 @@ def _exact_factory(**opts):
     return ExactCounter(**opts)
 
 
-def _legacy_factory(**opts):
-    from repro.counting.legacy import LegacyExactCounter
-
-    return LegacyExactCounter(**opts)
-
-
 def _brute_factory(**opts):
     from repro.counting.vector import FormulaBruteCounter
 
@@ -855,24 +841,14 @@ def _compiled_factory(**opts):
     return CompiledCounter(**opts)
 
 
-def _composite_factory(**opts):
-    from repro.counting.router import CompositeCounter
-
-    return CompositeCounter(**opts)
-
-
 register_backend("exact", _exact_factory)
-register_backend("legacy", _legacy_factory, aliases=("exact-legacy",))
 # "brute" is the numpy whole-space sweep over formulas and aux-free CNFs
 # (repro.counting.vector); "vector" is its descriptive alias.
 register_backend("brute", _brute_factory, aliases=("vector",))
-register_backend("approxmc", _approxmc_factory, aliases=("approx",))
+register_backend("approxmc", _approxmc_factory, aliases=("approx",), seeded=True)
 # "compiled" keeps the circuit: compile once, answer per-path queries by
 # unit-cube conditioning (conditions_cubes=True); "circuit" is its alias.
 register_backend("compiled", _compiled_factory, aliases=("circuit",))
-# "composite" routes each problem to the best-suited backend above by
-# inspectable rules (routes=True); "router" is its alias.
-register_backend("composite", _composite_factory, aliases=("router",))
 
 
 # -- timing helper --------------------------------------------------------------------

@@ -12,10 +12,9 @@ a process and across sessions:
   :class:`~repro.counting.api.CountResult` objects carrying the count plus
   provenance — exactness, backend name, wall time, whether the answer came
   from the in-memory memo, the disk store or actual backend work, and the
-  :class:`~repro.counting.api.EngineStats` delta the call caused.  The
-  historical ``count`` / ``count_many`` / ``count_formula`` survive as
-  thin bare-``int`` shims over the typed path, so every cached or fresh
-  count flows through one code path;
+  :class:`~repro.counting.api.EngineStats` delta the call caused, and
+  ``solve_formula`` is the formula-counting counterpart — every cached or
+  fresh count flows through one code path;
 * results are memoized keyed on the CNF's canonical packed signature
   (:meth:`repro.logic.cnf.CNF.signature`), so a cache hit is bit-identical
   to the cold call by construction;
@@ -34,8 +33,7 @@ a process and across sessions:
   backends that declare ``owns_component_cache``, so the *sub-problems* of
   different counting calls share work too (``EngineConfig(component_cache_mb=…)``,
   0 to opt out); with ``cache_dir`` configured the cache additionally
-  *spills to disk* (``EngineConfig(component_spill=…)``, on by default):
-  evictions and ``close()`` persist entries into a
+  *spills to disk*: evictions and ``close()`` persist entries into a
   :class:`repro.counting.store.ComponentStore` and misses consult it
   before recounting, so component work survives engine restarts;
 * requests with ``strategy="per-path"`` decompose a tree-region count into
@@ -49,19 +47,9 @@ a process and across sessions:
   :class:`~repro.counting.circuit.Circuit` and every ``mc(φ∧path)`` is
   answered by unit-cube conditioning — a linear DAG pass — with
   ``source="circuit"`` provenance.  Compiled circuits are memoized
-  in-process and persisted in a fourth disk tier
-  (:class:`repro.counting.store.CircuitStore`, ``EngineConfig(circuit_store=…)``),
-  so a warm restart performs zero compilations
-  (``EngineStats.circuit_store_hits``);
-* when the backend declares ``routes`` (the ``composite`` backend), cold
-  problems are *dispatched*: the engine asks the backend where each
-  problem should go (``route(cnf)``), bumps the per-route
-  :class:`~repro.counting.api.EngineStats` counter, counts on the routed
-  target under the request's limits, and stamps the decision on the
-  result (``CountResult.routed_to``).  Approx-routed results carry the
-  target's (ε, δ) and are never memoized or persisted — the same
-  discipline inexact fallback results follow — and the approx route is
-  refused outright for exact-precision and per-path problems;
+  in-process and, with ``cache_dir`` configured, persisted in a fourth
+  disk tier (:class:`repro.counting.store.CircuitStore`), so a warm
+  restart performs zero compilations (``EngineStats.circuit_store_hits``);
 * failures are *typed and contained*: budget exhaustions and wall-clock
   deadline overruns (``CountRequest(deadline=...)``) become per-problem
   :class:`~repro.counting.api.CountFailure` outcomes instead of batch
@@ -78,14 +66,13 @@ a process and across sessions:
   objects built on those translations;
 * ``region`` memoizes decision-tree label-region CNFs keyed on the paths.
 
-Routing decisions — disk persistence, component-cache installation,
-the ``count_formula`` fast path — are negotiated purely through the
-backend's declared :class:`~repro.counting.api.Capabilities`
+Every engine decision — disk persistence, component-cache installation,
+the formula fast path — is negotiated purely through the backend's
+declared :class:`~repro.counting.api.Capabilities`
 (``engine.capabilities``); the engine never sniffs attributes.  Backends
 are constructible by registered name via
-:func:`repro.counting.api.make_backend`, and attribute access falls
-through to the wrapped backend, so the engine is a drop-in ``counter``
-anywhere one is accepted.  One engine is meant to be shared across every
+:func:`repro.counting.api.make_backend`; the wrapped backend is
+``engine.counter``.  One engine is meant to be shared across every
 ``AccMC``, ``DiffMC`` and pipeline in a process — or owned by one
 :class:`repro.core.session.MCMLSession`, the facade over the whole
 pipeline; ``clear()`` resets the in-memory memos (the disk stores, if any,
@@ -96,7 +83,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -139,7 +125,11 @@ class EngineConfig:
         warm) across processes and sessions.  Counts persist only for
         backends whose capabilities declare ``exact`` (estimates are not
         portable); compilations are backend-independent and persist for
-        every backend.
+        every backend.  The same directory holds the component-cache
+        spill (:class:`~repro.counting.store.ComponentStore`) whenever
+        the engine owns a component cache, and the compiled-circuit tier
+        (:class:`~repro.counting.store.CircuitStore`) whenever the backend
+        declares ``conditions_cubes``.
     component_cache_mb:
         Approximate byte budget (in MiB) of the engine-owned
         :class:`~repro.counting.component_cache.ComponentCache` shared
@@ -149,26 +139,6 @@ class EngineConfig:
         per-call component caching).  Warm hits are bit-identical to cold
         recounts by construction; only backends declaring
         ``owns_component_cache`` (the exact counter) participate.
-    component_spill:
-        Spill the component cache to disk
-        (:class:`~repro.counting.store.ComponentStore` under
-        ``cache_dir``): LRU evictions and ``close()`` persist entries,
-        and a later engine's misses consult the store before recounting —
-        so a φ's *component* work survives restarts the way whole counts
-        already do (``EngineStats.component_spill_hits`` reports the
-        promotions).  On by default but only active when ``cache_dir`` is
-        configured and the component cache itself is; ``0``/``False``
-        opts out.
-    circuit_store:
-        Persist compiled circuits
-        (:class:`~repro.counting.store.CircuitStore` under ``cache_dir``):
-        per-path base formulas compiled by a ``conditions_cubes`` backend
-        are pickled keyed on their CNF signature, so a warm engine restart
-        answers conditioning queries with *zero* recompilations
-        (``EngineStats.circuit_store_hits``).  On by default but only
-        active when ``cache_dir`` is configured and the backend declares
-        ``conditions_cubes``; ``0``/``False`` opts out.
-
     fallback:
         Registered backend name (see
         :func:`repro.counting.api.make_backend`) the *degradation ladder*
@@ -189,8 +159,6 @@ class EngineConfig:
 
     cache_dir: str | Path | None = None
     component_cache_mb: float = 512.0
-    component_spill: bool = True
-    circuit_store: bool = True
     fallback: str | None = None
     fallback_opts: dict | None = None
 
@@ -307,26 +275,18 @@ class CountingEngine:
                 self.counter.component_cache = self.component_cache
             else:
                 self.counter.component_cache = None
-        # The spill tier rides on both knobs: a component cache to spill
-        # and a cache_dir to spill into.  Attached to the shared cache, so
-        # evictions and close-time spills both reach disk.
+        # The spill tier needs a component cache to spill and a cache_dir
+        # to spill into.  Attached to the shared cache, so evictions and
+        # close-time spills both reach disk.
         self.component_store: ComponentStore | None = None
-        if (
-            self.component_cache is not None
-            and self.config.cache_dir is not None
-            and self.config.component_spill
-        ):
+        if self.component_cache is not None and self.config.cache_dir is not None:
             self.component_store = ComponentStore(self.config.cache_dir)
             self.component_cache.attach_spill(self.component_store)
         # The circuit tier rides on the backend's conditions_cubes
         # declaration: only a compiling backend produces circuits worth
         # keeping, and only per-path conditioning consumes them.
         self.circuit_store: CircuitStore | None = None
-        if (
-            caps.conditions_cubes
-            and self.config.cache_dir is not None
-            and self.config.circuit_store
-        ):
+        if caps.conditions_cubes and self.config.cache_dir is not None:
             self.circuit_store = CircuitStore(self.config.cache_dir)
         #: In-process circuit memo: base signature -> compiled Circuit.
         self._circuits: dict[tuple, object] = {}
@@ -356,27 +316,6 @@ class CountingEngine:
         #: backend.
         self._lock = threading.RLock()
         self._sync_store_degradations()
-
-    def __getattr__(self, name: str):
-        # Fall through to the backend for everything the engine does not
-        # define (``max_nodes``, ``epsilon``, …), so the engine is a
-        # drop-in counter.  ``count_formula`` is special-cased: when the
-        # backend's capabilities declare formula counting the engine
-        # serves a memoizing wrapper (so the call stops silently bypassing
-        # memo and stats); when they do not, the AttributeError points at
-        # ``count``.
-        if name in ("counter", "capabilities"):
-            # guard against recursion before __init__ ran
-            raise AttributeError(name)
-        if name == "count_formula":
-            if self.capabilities.counts_formulas:
-                return self._count_formula_shim
-            raise AttributeError(
-                f"backend {self.backend_name!r} does not count formulas "
-                "(capabilities.counts_formulas is False); Tseitin-translate "
-                "and use engine.count(cnf)"
-            )
-        return getattr(self.counter, name)
 
     # -- typed counting API ----------------------------------------------------------
 
@@ -516,20 +455,7 @@ class CountingEngine:
                         primary = r
                     results.append(r)
                     continue
-                results.append(
-                    CountResult(
-                        value=r.value,
-                        exact=r.exact,
-                        backend=r.backend,
-                        source=r.source,
-                        elapsed_seconds=r.elapsed_seconds,
-                        fallback_from=r.fallback_from,
-                        routed_to=r.routed_to,
-                        epsilon=r.epsilon,
-                        delta=r.delta,
-                        stats_delta=stats_delta,
-                    )
-                )
+                results.append(replace(r, stats_delta=stats_delta))
             else:
                 subs = [partial[i] for i in ref]
                 failed = next(
@@ -616,67 +542,44 @@ class CountingEngine:
     def _execute_step(self, cold: dict, completed: dict, failed: dict) -> None:
         """Count each cold problem on the backend under its own limits.
 
-        Fills ``completed`` with ``key -> (value, seconds, route)`` and
-        ``failed`` with ``key -> CountFailure``.  A routing backend is
-        asked *where* first, so the decision lands in stats and provenance
-        even when the count itself later aborts.  The approx-route refusal
-        (exact precision / per-path demands on an oversized problem)
-        raises ValueError out of the batch, like the engine's other
-        contract checks.  Budget and deadline aborts are per-problem
-        outcomes, not batch aborts: the rest of the batch keeps counting.
+        Fills ``completed`` with ``key -> (value, seconds)`` and
+        ``failed`` with ``key -> CountFailure``.  Budget and deadline
+        aborts are per-problem outcomes, not batch aborts: each bumps
+        ``aborts`` and the rest of the batch keeps counting.
         """
         for key, (item, _) in cold.items():
             started = time.perf_counter()
-            route = None
-            counter, backend = self.counter, self.backend_name
-            if self.capabilities.routes:
-                route = self.counter.route(
-                    item.cnf, prefer_exact=item.exact_only or item.per_path
-                )
-                field = route.rule.stats_field
-                setattr(self.stats, field, getattr(self.stats, field) + 1)
-                counter, backend = route.counter, route.rule.target
             try:
-                with self._limits(item.budget, item.deadline, counter=counter):
-                    value = counter.count(item.cnf)
+                with self._limits(item.budget, item.deadline):
+                    value = self.counter.count(item.cnf)
             except CounterAbort as exc:
+                self.stats.aborts += 1
                 failed[key] = CountFailure.from_exception(
                     exc,
-                    backend=backend,
+                    backend=self.backend_name,
                     elapsed_seconds=time.perf_counter() - started,
                 )
                 continue
-            completed[key] = (value, time.perf_counter() - started, route)
+            completed[key] = (value, time.perf_counter() - started)
 
     def _merge_step(
         self, completed: dict, cold: dict, hashed: dict, results: list
     ) -> None:
         """Hand completed counts to their batch positions, memo and store.
 
-        Exactness (and ε/δ) of a routed problem are the *routed target's*;
-        approx-routed values are neither memoized nor persisted — like
-        inexact fallback counts, an estimate must never warm an exact cache.
+        Estimates are neither memoized nor persisted: like inexact
+        fallback counts, they must never warm an exact cache.
         """
         self.stats.backend_calls += len(completed)
+        exact = self.capabilities.exact
         fresh: list[tuple[str, int]] = []
-        for key, (value, seconds, route) in completed.items():
-            if route is None:
-                exact = self.capabilities.exact
-                routed_to = epsilon = delta = None
-            else:
-                exact = route.capabilities.exact
-                routed_to = route.rule.target
-                epsilon = None if exact else getattr(route.counter, "epsilon", None)
-                delta = None if exact else getattr(route.counter, "delta", None)
+        for key, (value, seconds) in completed.items():
             result = CountResult(
                 value=value,
                 exact=exact,
                 backend=self.backend_name,
                 source="backend",
                 elapsed_seconds=seconds,
-                routed_to=routed_to,
-                epsilon=epsilon,
-                delta=delta,
             )
             for i in cold[key][1]:
                 results[i] = result
@@ -818,9 +721,10 @@ class CountingEngine:
                     backend=self.backend_name,
                     elapsed_seconds=time.perf_counter() - started,
                 )
+                stats.aborts += len(cold)
+                if failure.kind == "timeout":
+                    stats.timeouts += len(cold)
                 for key, cube in cold:
-                    if failure.kind == "timeout":
-                        stats.timeouts += 1
                     outcome = self._try_fallback(
                         failure,
                         _Flat(
@@ -991,13 +895,7 @@ class CountingEngine:
         )
 
     @contextmanager
-    def _limits(
-        self,
-        budget: int | None,
-        deadline: float | None = None,
-        *,
-        counter=None,
-    ):
+    def _limits(self, budget: int | None, deadline: float | None = None):
         """Temporarily override the backend's resource knobs, if it has them.
 
         ``budget`` maps onto a ``max_nodes`` attribute and ``deadline``
@@ -1005,7 +903,7 @@ class CountingEngine:
         corresponding request limit moot.  Restores on exit even when the
         count aborts.
         """
-        counter = self.counter if counter is None else counter
+        counter = self.counter
         previous_budget = _MISSING
         previous_deadline = _MISSING
         if budget is not None:
@@ -1023,43 +921,6 @@ class CountingEngine:
                 counter.max_nodes = previous_budget
             if previous_deadline is not _MISSING:
                 counter.deadline = previous_deadline
-
-    # -- bare-int shims (deprecated spelling of the typed API) -----------------------
-    #
-    # Kept for external callers only.  The in-tree consumer layers
-    # (core/, experiments/) speak the typed surface exclusively — a CI
-    # grep gate rejects any engine.count/count_many/count_formula call
-    # reappearing there.
-
-    def count(self, cnf: CNF) -> int:
-        """Deprecated shim: ``solve(cnf).value`` (kept for old call sites)."""
-        warnings.warn(
-            "engine.count(cnf) is deprecated; use engine.solve(cnf).value "
-            "(typed provenance, per-problem limits, failure taxonomy)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.solve(cnf).value
-
-    def count_many(self, cnfs) -> list[int]:
-        """Deprecated shim: ``[r.value for r in solve_many(cnfs)]``."""
-        warnings.warn(
-            "engine.count_many(cnfs) is deprecated; use "
-            "[r.value for r in engine.solve_many(cnfs)]",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [result.value for result in self.solve_many(cnfs)]
-
-    def _count_formula_shim(self, formula, num_vars: int) -> int:
-        """Deprecated shim: ``solve_formula(...).value`` (via attribute)."""
-        warnings.warn(
-            "engine.count_formula(...) is deprecated; use "
-            "engine.solve_formula(formula, num_vars).value",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.solve_formula(formula, num_vars).value
 
     # -- compilation memos -----------------------------------------------------------
 

@@ -33,8 +33,7 @@ renumbers the occurring variables into a dense ``0..k-1`` index
 detecting units/empty clauses, splitting components and computing free
 variables are then single integer ops per clause, and cache keys are
 ``frozenset``s of per-clause integers ``(pos << k) | neg`` instead of
-``frozenset``s of literal tuples.  The original tuple-based algorithm is
-preserved in :mod:`repro.counting.legacy` as a differential baseline.
+``frozenset``s of literal tuples.
 
 Projection.  Because the search *is* projected counting, the counter no
 longer needs the ``aux_unique`` unique-extension flag to be correct: the

@@ -10,6 +10,10 @@ Examples::
     mcml --list-backends                # registered counting backends
     mcml all                            # every artifact, reduced scopes
 
+``mcml`` is the console script ``pip install -e .`` installs (see
+``setup.py``); from a checkout, ``PYTHONPATH=src python -m
+repro.experiments.cli`` runs the same entry point.
+
 Every counting artifact runs through one :class:`repro.core.session.MCMLSession`
 built from the parsed configuration: backend by registered name
 (``--backend``), disk caches, the component cache and the fallback
@@ -62,16 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        default=None,
+        default="exact",
         metavar="NAME",
         help="counting backend by registered name "
-        f"({', '.join(available_backends())}; see --list-backends)",
-    )
-    parser.add_argument(
-        "--counter",
-        choices=("exact", "approx", "brute"),
-        default="exact",
-        help="deprecated alias of --backend (kept for old scripts)",
+        f"({', '.join(available_backends())}; see --list-backends; "
+        "default exact)",
     )
     parser.add_argument(
         "--list-backends",
@@ -100,27 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="persist model counts and compilations to DIR so re-runs "
-        "skip the work (default: off)",
+        help="persist model counts, compilations, the component-cache "
+        "spill and compiled circuits to DIR so re-runs skip the work "
+        "(default: off)",
     )
     parser.add_argument(
         "--component-cache-mb", type=float, default=512.0, metavar="MB",
         help="budget of the cross-call component cache shared by all "
         "counting problems of a run (default 512; 0 disables sharing)",
-    )
-    parser.add_argument(
-        "--component-spill", type=int, default=1, metavar="0|1",
-        help="spill the component cache to cache-dir/components.sqlite "
-        "(evictions and shutdown persist entries, misses consult disk) so "
-        "component work survives re-runs; needs --cache-dir "
-        "(default 1; 0 disables)",
-    )
-    parser.add_argument(
-        "--circuit-store", type=int, default=1, metavar="0|1",
-        help="persist compiled circuits to cache-dir/circuits.sqlite so a "
-        "warm restart of a conditions_cubes backend (compiled) answers "
-        "per-path region counts without recompiling; needs --cache-dir "
-        "(default 1; 0 disables)",
     )
     parser.add_argument(
         "--fallback", default=None, metavar="NAME",
@@ -210,15 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     kwargs = dict(
         scope=args.scope,
-        counter=args.backend if args.backend is not None else args.counter,
+        counter=args.backend,
         accmc_mode=args.accmc_mode,
         seed=args.seed,
         train_fraction=args.train_fraction,
         max_positives=args.max_positives,
         cache_dir=args.cache_dir,
         component_cache_mb=args.component_cache_mb,
-        component_spill=bool(args.component_spill),
-        circuit_store=bool(args.circuit_store),
         fallback=args.fallback,
         deadline=args.deadline,
         budget=args.budget,
@@ -236,7 +220,6 @@ _CAPABILITY_COLUMNS = {
     "supports_projection": "projection",
     "owns_component_cache": "components",
     "conditions_cubes": "cubes",
-    "routes": "routes",
 }
 
 
@@ -246,12 +229,8 @@ def list_backends() -> str:
     One row per registered backend, one yes/no column per declared
     :class:`~repro.counting.api.Capabilities` flag — the same negotiation
     surface the engine routes on, so what this table says a backend can
-    do is exactly what the engine will let it do.  Backends declaring
-    ``routes`` (composite) additionally render their routing table:
-    which inspectable rule sends a problem to which target backend.
+    do is exactly what the engine will let it do.
     """
-    from repro.counting.router import ROUTING_RULES
-
     names = available_backends()
     rows = []
     for name in names:
@@ -272,23 +251,6 @@ def list_backends() -> str:
         return "  " + "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
     lines = ["registered counting backends:", render(header)]
     lines.extend(render(row) for row in rows)
-    lines.append("")
-    lines.append("composite routing table (first matching rule wins):")
-    rule_rows = [
-        [rule.name, rule.description, "-> " + rule.target]
-        for rule in ROUTING_RULES
-    ]
-    rule_header = ["rule", "predicate", "target"]
-    rule_widths = [
-        max(len(rule_header[i]), *(len(row[i]) for row in rule_rows))
-        for i in range(len(rule_header))
-    ]
-    def render_rule(cells):
-        return "  " + "  ".join(
-            c.ljust(w) for c, w in zip(cells, rule_widths)
-        ).rstrip()
-    lines.append(render_rule(rule_header))
-    lines.extend(render_rule(row) for row in rule_rows)
     return "\n".join(lines)
 
 

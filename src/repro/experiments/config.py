@@ -1,4 +1,12 @@
-"""Experiment configuration and shared factories."""
+"""Experiment configuration and shared factories.
+
+:class:`ExperimentConfig` carries every knob a table driver needs and
+builds the :class:`~repro.core.session.MCMLSession` the drivers count
+through.  Backends are picked by registered name; the experiment seed
+reaches the seeded ones (``approxmc``), as primary or as fallback,
+through :func:`repro.counting.api.seeded_opts` — the same helper
+``MCMLSession`` uses, so both constructions count identically.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.core.session import MCMLSession
 from repro.counting import CountingEngine, EngineConfig, make_backend
+from repro.counting.api import seeded_opts
 from repro.spec.properties import PROPERTIES, Property, get_property
 
 #: Fast out-of-the-box-ish model settings for the experiment grids.  The
@@ -28,22 +37,16 @@ PAPER_RATIOS = (0.75, 0.50, 0.25, 0.10, 0.01)
 #: The three ratios printed in Tables 2 and 4.
 PRINTED_RATIOS = (0.75, 0.25, 0.01)
 
-#: Registry names (aliases included) whose factories take the experiment seed.
-SEEDED_BACKENDS = ("approx", "approxmc", "composite", "router")
-
 
 def make_counter(name: str, seed: int = 0):
     """Counting backend by registered name (see :func:`repro.counting.make_backend`).
 
     Kept as the experiments-layer spelling: it threads the experiment seed
-    into backends that take one (the approximate counter and the
-    composite router's approx route) and accepts any registry name or
-    alias (``exact``, ``legacy``, ``brute``/``vector``, ``compiled``,
-    ``approxmc``/``approx``, ``composite``/``router``).
+    into backends that take one (:func:`~repro.counting.api.seeded_opts`)
+    and accepts any registry name or alias (``exact``,
+    ``brute``/``vector``, ``compiled``/``circuit``, ``approxmc``/``approx``).
     """
-    if name in SEEDED_BACKENDS:
-        return make_backend(name, seed=seed)
-    return make_backend(name)
+    return make_backend(name, **seeded_opts(name, seed))
 
 
 @dataclass
@@ -60,13 +63,12 @@ class ExperimentConfig:
     entirely, and ``component_cache_mb`` bounds the engine-shared
     component cache that lets overlapping counting problems (same φ,
     different tree regions) reuse each other's sub-counts (see
-    :class:`repro.counting.EngineConfig`; 0 opts out).
-    ``component_spill`` additionally persists that component cache under
-    ``cache_dir`` (on by default, 0 opts out), ``circuit_store`` persists
-    the compiled circuits of a ``conditions_cubes`` backend (``mcml
-    --backend compiled``) there too so warm restarts condition without
-    recompiling, and ``region_strategy`` picks the AccMC/DiffMC region
-    route (``"conjunction"`` or ``"per-path"``).
+    :class:`repro.counting.EngineConfig`; 0 opts out).  ``cache_dir``
+    also holds that component cache's spill and, for a
+    ``conditions_cubes`` backend (``mcml --backend compiled``), the
+    compiled circuits, so warm restarts condition without recompiling.
+    ``region_strategy`` picks the AccMC/DiffMC region route
+    (``"conjunction"`` or ``"per-path"``).
     ``fallback`` names a backend the engine's degradation ladder
     re-counts failed problems on (``mcml --fallback approxmc``), and
     ``deadline``/``budget`` apply per-problem wall-clock and node limits
@@ -83,8 +85,6 @@ class ExperimentConfig:
     max_positives: int | None = 5000
     cache_dir: str | None = None
     component_cache_mb: float = 512.0
-    component_spill: bool = True
-    circuit_store: bool = True
     fallback: str | None = None
     deadline: float | None = None
     budget: int | None = None
@@ -106,11 +106,11 @@ class ExperimentConfig:
         return EngineConfig(
             cache_dir=self.cache_dir,
             component_cache_mb=self.component_cache_mb,
-            component_spill=self.component_spill,
-            circuit_store=self.circuit_store,
             fallback=self.fallback,
             fallback_opts=(
-                {"seed": self.seed} if self.fallback in SEEDED_BACKENDS else None
+                seeded_opts(self.fallback, self.seed)
+                if self.fallback is not None
+                else None
             ),
         )
 

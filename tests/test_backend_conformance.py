@@ -6,7 +6,7 @@ declared capabilities advertise), asserting bit-identity of exact backends
 against the closed-form oracles, the (ε, δ) envelope for approximate ones,
 and — flag by flag — that the declared :class:`Capabilities` match actual
 behaviour: formula counting, auxiliary-variable support, cube
-conditioning, component-cache ownership, routing, engine store gating.
+conditioning, component-cache ownership, engine store gating.
 
 A new backend is a registry entry plus a green run of this module; a
 capability flag that lies fails here before it can mis-route the engine.
@@ -33,6 +33,7 @@ from repro.counting.api import (
     backend_capabilities,
     capabilities_of,
     make_backend,
+    seeded_opts,
 )
 from repro.spec import SymmetryBreaking, get_property, translate
 from repro.spec.properties import PROPERTIES
@@ -56,7 +57,7 @@ def _count_via_capabilities(backend, problem, num_primary):
 class TestRegistry:
     def test_lists_the_expected_backends(self):
         assert BACKENDS == sorted(
-            ["exact", "legacy", "brute", "compiled", "approxmc", "composite"]
+            ["exact", "brute", "compiled", "approxmc"]
         )
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -68,6 +69,19 @@ class TestRegistry:
         # The registry's capability view equals the instance's declaration.
         assert backend_capabilities(name) == backend.capabilities
         assert capabilities_of(backend) == backend.capabilities
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_seeded_flag_matches_the_constructor(self, name):
+        """A backend receives the session seed iff its constructor takes one."""
+        import inspect
+
+        backend = make_backend(name)
+        takes_seed = "seed" in inspect.signature(type(backend)).parameters
+        opts = seeded_opts(name, 5)
+        assert ("seed" in opts) == takes_seed
+        for alias in backend_aliases(name):
+            assert seeded_opts(alias, 5) == opts
+        make_backend(name, **opts)  # constructs with exactly these options
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_aliases_resolve_to_same_class(self, name):
@@ -189,25 +203,6 @@ class TestCapabilityFlagsMatchBehaviour:
         backend = make_backend(name)
         assert backend.capabilities.exact == bool(getattr(backend, "exact", False))
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_routes_flag(self, name):
-        """Flag on: ``route(cnf)`` returns an inspectable Route.  Off: no
-        ``route`` surface (the engine only asks declared routers)."""
-        from repro.counting.router import Route
-
-        backend = make_backend(name)
-        route_attr = getattr(backend, "route", _MISSING)
-        assert backend.capabilities.routes == callable(
-            None if route_attr is _MISSING else route_attr
-        )
-        if not backend.capabilities.routes:
-            return
-        problem = translate(get_property("Reflexive"), 3)
-        route = backend.route(problem.cnf)
-        assert isinstance(route, Route)
-        assert route.rule.target in BACKENDS
-        assert route.capabilities == backend_capabilities(route.rule.target)
-
 
 class TestEngineNegotiatesThroughCapabilities:
     @pytest.mark.parametrize("name", BACKENDS)
@@ -224,13 +219,51 @@ class TestEngineNegotiatesThroughCapabilities:
             )
 
     @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("scope", (2, 3))
+    @pytest.mark.parametrize("prop", PROPERTIES, ids=lambda p: p.name)
+    def test_engine_passes_values_through_and_memoizes_only_exact(
+        self, name, scope, prop
+    ):
+        """Through the engine a backend gives the value it gives alone, with
+        its declared exactness; only exact values come back from the memo."""
+        caps = backend_capabilities(name)
+        if not caps.counts_formulas and not caps.supports_projection:
+            pytest.skip("auxiliary-free backend: covered by the region suite")
+        problem = translate(prop, scope)
+        engine = CountingEngine(make_backend(name))
+        if caps.counts_formulas:
+            first, second = (
+                engine.solve_formula(problem.formula, scope * scope)
+                for _ in range(2)
+            )
+        else:
+            first, second = (engine.solve(problem.cnf) for _ in range(2))
+        direct = _count_via_capabilities(make_backend(name), problem, scope * scope)
+        assert first.value == direct
+        assert first.source == "backend"
+        assert first.exact == second.exact == caps.exact
+        if caps.exact:
+            assert second.source == "memo" and second.value == direct
+            assert engine.stats.backend_calls == 1
+        else:
+            # An estimate is counted afresh, never served from the memo.
+            assert second.source == "backend"
+            assert engine.stats.backend_calls == 2
+            assert engine.stats.count_hits == 0
+
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_count_formula_routing(self, name):
         engine = CountingEngine(make_backend(name))
+        problem = translate(get_property("Reflexive"), 2)
         if engine.capabilities.counts_formulas:
-            assert callable(engine.count_formula)
+            result = engine.solve_formula(problem.formula, 4)
+            assert result.value == engine.counter.count_formula(problem.formula, 4)
         else:
-            with pytest.raises(AttributeError, match="count_formula|count formulas"):
-                engine.count_formula
+            with pytest.raises(ValueError, match="count formulas"):
+                engine.solve_formula(problem.formula, 4)
+        # The engine never falls through to the backend's own surface.
+        with pytest.raises(AttributeError):
+            engine.count_formula
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_accmc_rejects_unroutable_backends_at_the_routing_layer(self, name):
@@ -253,104 +286,6 @@ class TestEngineNegotiatesThroughCapabilities:
         else:
             with pytest.raises(ValueError, match="capabilities"):
                 accmc.evaluate(tree, ground_truth)
-
-
-class TestCompositeRouting:
-    """The ``composite`` column: routing decisions, provenance, refusal."""
-
-    def test_aux_free_routes_to_compiled_bit_identical(self, tree_regions):
-        from repro.counting.api import CountRequest
-
-        engine = CountingEngine(make_backend("composite"))
-        reference = ExactCounter()
-        for region in tree_regions:
-            result = engine.solve(CountRequest.from_cnf(region))
-            assert result.routed_to == "compiled"
-            assert result.exact
-            assert result.value == reference.count(region)
-        assert engine.stats.route_compiled == len(tree_regions)
-        assert engine.stats.route_exact == 0
-        assert engine.stats.route_approx == 0
-
-    def test_aux_bearing_routes_to_exact_bit_identical(self):
-        from repro.counting.api import CountRequest
-
-        engine = CountingEngine(make_backend("composite"))
-        problem = translate(get_property("PartialOrder"), 3)
-        assert problem.cnf.aux_vars()
-        result = engine.solve(CountRequest.from_cnf(problem.cnf))
-        assert result.routed_to == "exact"
-        assert result.exact
-        assert result.value == closed_form_count("partialorder", 3)
-        assert engine.stats.route_exact == 1
-
-    def test_oversized_routes_to_approx_with_epsilon_delta(self):
-        from repro.counting.api import CountRequest
-
-        engine = CountingEngine(make_backend("composite", oversize_vars=4))
-        problem = translate(get_property("Reflexive"), 3)
-        truth = closed_form_count("reflexive", 3)
-        result = engine.solve(CountRequest.from_cnf(problem.cnf))
-        assert result.routed_to == "approxmc"
-        assert not result.exact
-        assert result.epsilon == 0.8 and result.delta == 0.2
-        assert truth / 1.8 <= result.value <= truth * 1.8
-        assert engine.stats.route_approx == 1
-        # Estimates are never memoized: a second solve routes (and
-        # counts) again instead of serving a cache hit as "exact".
-        again = engine.solve(CountRequest.from_cnf(problem.cnf))
-        assert again.source == "backend"
-        assert engine.stats.route_approx == 2
-
-    def test_precision_exact_refused_on_the_approx_route(self):
-        from repro.counting.api import CountRequest
-
-        engine = CountingEngine(make_backend("composite", oversize_vars=4))
-        problem = translate(get_property("Reflexive"), 3)
-        with pytest.raises(ValueError, match="approx route"):
-            engine.solve(CountRequest.from_cnf(problem.cnf, precision="exact"))
-        # Direct backend refusal too — the contract is the router's, not
-        # only the engine's.
-        with pytest.raises(ValueError, match="approx route"):
-            make_backend("composite", oversize_vars=4).route(
-                problem.cnf, prefer_exact=True
-            )
-
-    def test_per_path_requests_refuse_the_approx_route(self, tree_regions):
-        from repro.counting.api import CountRequest
-
-        engine = CountingEngine(make_backend("composite", oversize_vars=4))
-        region = tree_regions[0]
-        request = CountRequest.from_cnf(
-            region, strategy="per-path", cubes=((1,), (-1,))
-        )
-        with pytest.raises(ValueError, match="approx route"):
-            engine.solve(request)
-
-    def test_exact_routes_persist_approx_routes_do_not(self, tmp_path):
-        from repro.counting.api import CountRequest
-        from repro.counting.store import CountStore, signature_key
-
-        problem = translate(get_property("Reflexive"), 3)
-        request = CountRequest.from_cnf(problem.cnf)
-        key = signature_key(request.signature())
-        with CountingEngine(
-            make_backend("composite", oversize_vars=4),
-            config=EngineConfig(cache_dir=tmp_path / "approx"),
-        ) as engine:
-            engine.solve(request)
-            assert engine.store.get(key) is None
-        with CountingEngine(
-            make_backend("composite"),
-            config=EngineConfig(cache_dir=tmp_path / "exact"),
-        ) as engine:
-            engine.solve(request)
-            assert engine.store.get(key) == closed_form_count("reflexive", 3)
-
-    def test_routing_table_renders_the_rule_order(self):
-        table = make_backend("composite").routing_table()
-        assert [row["rule"] for row in table] == ["oversized", "aux-free", "aux"]
-        assert [row["target"] for row in table] == ["approxmc", "compiled", "exact"]
 
 
 class TestGrepClean:

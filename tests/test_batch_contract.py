@@ -9,7 +9,9 @@ cannot be met.  Whatever the shape of the batch:
   ``backend`` for a cold one, ``fallback`` for the failed member when a
   fallback is configured, and ``memo`` for everything on a repeated batch;
 * ``backend_calls`` equals the number of distinct cold signatures that the
-  backend completed (duplicates collapse onto one count);
+  backend completed (duplicates collapse onto one count), and
+  ``count_calls`` splits exactly into memo, store, circuit and backend
+  answers plus ``aborts``;
 * with ``on_failure="raise"`` the original abort re-raises, and every count
   that completed before or after it is already in the disk store.
 """
@@ -89,6 +91,16 @@ def _problems(members, fail_at):
     return problems
 
 
+def _assert_calls_split(stats):
+    assert stats.count_calls == (
+        stats.count_hits
+        + stats.store_hits
+        + stats.circuit_hits
+        + stats.backend_calls
+        + stats.aborts
+    )
+
+
 @given(batches())
 @settings(max_examples=40, deadline=None)
 def test_batch_values_sources_and_backend_calls(batch):
@@ -116,6 +128,8 @@ def test_batch_values_sources_and_backend_calls(batch):
                 expected = "store" if problem.signature() in warm_sigs else "backend"
                 assert result.source == expected
             assert engine.stats.backend_calls == len(cold_sigs)
+            assert engine.stats.aborts == 1
+            _assert_calls_split(engine.stats)
 
             again = engine.solve_many(problems, on_failure="return")
             for position, result in enumerate(again):
@@ -125,6 +139,10 @@ def test_batch_values_sources_and_backend_calls(batch):
                 assert result.source == "memo"
                 assert result.value == results[position].value
             assert engine.stats.backend_calls == len(cold_sigs)
+            # The exact fallback memoized its rescue; an unrescued failure
+            # aborts again on the repeat.
+            assert engine.stats.aborts == (1 if with_fallback else 2)
+            _assert_calls_split(engine.stats)
 
 
 @given(batches())

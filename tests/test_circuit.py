@@ -283,6 +283,9 @@ class TestEngineConditioning:
             )
             assert isinstance(outcome, CountFailure)
             assert outcome.kind == "timeout"
+            # The compile abort is every cold cube's timeout, not just the
+            # first one the failed ladder looked at.
+            assert engine.stats.timeouts == engine.stats.aborts == len(cubes)
 
     def test_degradation_ladder_reroutes_compile_aborts(self, trees):
         base, cubes = self._region_problem(trees)
@@ -297,10 +300,27 @@ class TestEngineConditioning:
             assert result.source == "fallback"
             assert engine.stats.fallbacks == len(cubes)
 
+    @pytest.mark.parametrize("fallback", (None, "exact"))
+    def test_compile_abort_counts_one_abort_per_cold_cube(self, trees, fallback):
+        base, cubes = self._region_problem(trees)
+        with CountingEngine(
+            make_backend("compiled"), EngineConfig(fallback=fallback)
+        ) as engine:
+            engine.solve(
+                _per_path_request(base, cubes, budget=3), on_failure="return"
+            )
+            stats = engine.stats
+            assert stats.aborts == len(set(cubes))
+            assert stats.circuit_hits == stats.backend_calls == 0
+            assert stats.count_calls == (
+                stats.count_hits + stats.store_hits + stats.circuit_hits
+                + stats.backend_calls + stats.aborts
+            )
+
     def test_non_conditioning_exact_backends_still_serve_per_path(self, trees):
         base, cubes = self._region_problem(trees)
         values = set()
-        for name in ("exact", "compiled", "legacy"):
+        for name in ("exact", "compiled", "brute"):
             with CountingEngine(
                 make_backend(name), EngineConfig()
             ) as engine:
@@ -329,14 +349,6 @@ class TestCircuitStoreTier:
             assert warm.stats.backend_calls == 0
             assert warm.stats.store_hits == 0
             assert warm.stats.circuit_hits == len(set(cubes))
-
-    def test_circuit_store_knob_opts_out(self, trees, tmp_path):
-        base, cubes = self._sweep(trees)
-        config = EngineConfig(cache_dir=tmp_path, circuit_store=False)
-        with CountingEngine(make_backend("compiled"), config) as engine:
-            engine.solve(_per_path_request(base, cubes))
-            assert engine.circuit_store is None
-        assert not (tmp_path / "circuits.sqlite").exists()
 
     def test_non_conditioning_backends_get_no_circuit_store(self, tmp_path):
         with CountingEngine(

@@ -9,14 +9,14 @@ Covers:
   rotates aside and reads as misses — engine construction never crashes);
 * the :class:`ComponentCache` spill tier — evict→spill→promote round trips,
   ``spill_all`` at engine close, warm-restart promotions surfacing as
-  ``EngineStats.component_spill_hits``, and the ``component_spill=0``
-  opt-out;
+  ``EngineStats.component_spill_hits``, and the spill switching on exactly
+  when a ``cache_dir`` and a component cache are both configured;
 * the per-path route — ``CountRequest(strategy="per-path")`` validation and
   expansion, engine-level sum correctness and sub-problem dedup, rejection
   on approximate backends, and AccMC bit-identity of
   the per-path vs conjunction routes over the 16-property × scope 2–4
   matrix (both construction modes);
-* the knob plumbing — ``EngineConfig``/``MCMLSession``/CLI defaults.
+* the session plumbing — ``MCMLSession`` exposes the spill store.
 """
 
 import os
@@ -224,16 +224,6 @@ class TestEngineSpill:
         ]
         warm.close()
 
-    def test_component_spill_zero_opts_out(self, tmp_path):
-        engine = CountingEngine(
-            config=EngineConfig(cache_dir=tmp_path, component_spill=0)
-        )
-        assert engine.component_store is None
-        assert engine.component_cache is not None  # the memory tier stays
-        engine.solve(_phi())
-        engine.close()
-        assert not (tmp_path / COMPONENT_STORE_FILENAME).exists()
-
     def test_no_cache_dir_means_no_spill(self):
         engine = CountingEngine()
         assert engine.component_store is None
@@ -269,7 +259,7 @@ class TestEngineSpill:
     def test_session_exposes_component_store(self, tmp_path):
         with MCMLSession(cache_dir=tmp_path) as session:
             assert session.component_store is not None
-        with MCMLSession(cache_dir=tmp_path, component_spill=False) as session:
+        with MCMLSession() as session:
             assert session.component_store is None
 
 

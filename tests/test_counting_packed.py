@@ -1,13 +1,17 @@
 """Differential suite for the packed counting engine.
 
-Pins the bitmask-packed :class:`ExactCounter` rewrite to three independent
+Pins the bitmask-packed :class:`ExactCounter` rewrite to independent
 oracles:
 
 * vectorised brute force over the full ``2^{n²}`` space (the pre-Tseitin
   formula swept with numpy) on every registered property at scopes 2-4,
   with and without symmetry breaking;
-* the original tuple-based algorithm (:class:`LegacyExactCounter`);
-* :func:`brute_force_count` on randomized aux-free CNFs.
+* projected AllSAT enumeration of the same Tseitin CNFs with the CDCL
+  solver (:func:`repro.sat.count_models`, the paper's ``Valid (Alloy)``
+  method) at scopes 2-3, at scope 4 where the property has at most
+  :data:`ALLSAT_MAX_MODELS` models, and on the ablation instance;
+* :func:`brute_force_count` on randomized aux-free CNFs, and the distinct
+  projected rows of :func:`brute_force_models` on randomized projections.
 
 Plus regression tests that :class:`CountingEngine` cache hits return
 bit-identical counts to cold calls, and unit tests for the packed clause
@@ -21,13 +25,15 @@ from hypothesis import given, settings
 from repro.counting import (
     CountingEngine,
     ExactCounter,
-    LegacyExactCounter,
     brute_force_count,
+    brute_force_models,
+    closed_form_count,
     shared_engine,
 )
 from repro.counting.vector import FormulaBruteCounter
 from repro.logic import CNF, Var, tseitin_cnf
 from repro.logic.cnf import pack_clauses
+from repro.sat import count_models
 from repro.spec import SymmetryBreaking, get_property, translate
 from repro.spec.properties import PROPERTIES
 
@@ -47,6 +53,17 @@ ALL_CASES = [
     for prop in PROPERTIES
     for scope in SCOPES
     for symmetry in SYMMETRY
+]
+
+#: AllSAT pays one SAT call per model, so its scope-4 cases are the
+#: properties with at most this many models (symmetry breaking only
+#: lowers the count).  That keeps every case well under a second.
+ALLSAT_MAX_MODELS = 2000
+
+ALLSAT_CASES = [
+    case
+    for case in ALL_CASES
+    if case[1] <= 3 or closed_form_count(case[0].oracle, case[1]) <= ALLSAT_MAX_MODELS
 ]
 
 
@@ -71,32 +88,19 @@ class TestPackedAgainstBruteForce:
         negative = counter.count(translate(prop, scope, negate=True).cnf)
         assert positive + negative == 1 << (scope * scope)
 
-
-class TestPackedAgainstLegacy:
-    """Packed counter vs the seed's tuple-based algorithm, bit for bit."""
-
-    @pytest.mark.parametrize(
-        "case",
-        [c for c in ALL_CASES if c[1] <= 3],
-        ids=_case_id,
-    )
-    def test_matches_legacy_at_small_scopes(self, case):
+    @pytest.mark.parametrize("case", ALLSAT_CASES, ids=_case_id)
+    def test_matches_projected_allsat(self, case):
+        # The CNF itself, auxiliaries included, against a second algorithm:
+        # blocking-clause enumeration on the relation bits.
         prop, scope, symmetry = case
         cnf = translate(prop, scope, symmetry=symmetry).cnf
-        assert ExactCounter().count(cnf) == LegacyExactCounter().count(cnf)
+        assert ExactCounter().count(cnf) == count_models(cnf)
 
-    def test_matches_legacy_on_the_ablation_instance(self):
+    def test_matches_projected_allsat_on_the_ablation_instance(self):
         cnf = translate(
             get_property("PartialOrder"), 4, symmetry=SymmetryBreaking()
         ).cnf
-        assert ExactCounter().count(cnf) == LegacyExactCounter().count(cnf)
-
-    @given(random_cnf(max_vars=8, max_clauses=16))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_legacy_on_random_cnfs(self, instance):
-        num_vars, clauses = instance
-        cnf = CNF(clauses, num_vars=num_vars, projection=range(1, num_vars + 1))
-        assert ExactCounter().count(cnf) == LegacyExactCounter().count(cnf)
+        assert ExactCounter().count(cnf) == count_models(cnf)
 
     @given(random_cnf(max_vars=10, max_clauses=24))
     @settings(max_examples=60, deadline=None)
@@ -114,8 +118,6 @@ class TestPackedAgainstLegacy:
         projection = [v for v in range(1, num_vars + 1) if v % 2 == 1]
         cnf = CNF(clauses, num_vars=num_vars, projection=projection)
         full = CNF(clauses, num_vars=num_vars, projection=range(1, num_vars + 1))
-        from repro.counting import brute_force_models
-
         models = brute_force_models(full)
         columns = [v - 1 for v in projection]
         distinct = (
@@ -129,18 +131,18 @@ class TestCountingEngine:
         prop = get_property("PartialOrder")
         cnf = translate(prop, 3, symmetry=SymmetryBreaking()).cnf
         engine = CountingEngine()
-        cold = engine.count(cnf)
+        cold = engine.solve(cnf).value
         assert engine.stats.count_hits == 0
         # A structurally equal but distinct CNF object must hit the memo.
         clone = translate(prop, 3, symmetry=SymmetryBreaking()).cnf
-        warm = engine.count(clone)
+        warm = engine.solve(clone).value
         assert engine.stats.count_hits == 1
         assert warm == cold == ExactCounter().count(cnf)
 
     def test_count_many_deduplicates(self):
         cnf = translate(get_property("Reflexive"), 3).cnf
         engine = CountingEngine()
-        first, second = engine.count_many([cnf, cnf.copy()])
+        first, second = [r.value for r in engine.solve_many([cnf, cnf.copy()])]
         assert first == second
         assert engine.stats.count_calls == 2
         assert engine.stats.count_hits == 1
@@ -150,8 +152,8 @@ class TestCountingEngine:
         engine = CountingEngine()
         narrow = CNF([[1]], num_vars=1, projection=[1])
         wide = CNF([[1]], num_vars=3, projection=[1, 2, 3])
-        assert engine.count(narrow) == 1
-        assert engine.count(wide) == 4
+        assert engine.solve(narrow).value == 1
+        assert engine.solve(wide).value == 4
         assert engine.stats.count_hits == 0
 
     def test_translate_memo(self):
@@ -169,11 +171,11 @@ class TestCountingEngine:
         gt1 = engine.ground_truth(get_property("Reflexive"), 3)
         gt2 = engine.ground_truth(get_property("Reflexive"), 3)
         assert gt1 is gt2
-        assert engine.count(gt1.positive().cnf) == 1 << 6  # free off-diagonal bits
+        assert engine.solve(gt1.positive().cnf).value == 1 << 6  # free off-diagonal bits
 
     def test_backend_delegation(self):
         engine = shared_engine(None)
-        assert engine.name == "exact"
+        assert engine.backend_name == engine.counter.name == "exact"
         assert shared_engine(engine) is engine
         # Wrapping an engine in a fresh engine unwraps to the same backend.
         rewrapped = CountingEngine(engine)
@@ -191,7 +193,7 @@ class TestCountingEngine:
         second = engine.region(paths, 1, 4)
         assert first is second
         assert engine.stats.region_hits == 1
-        assert engine.count(first) == 8  # x1 true, three free bits
+        assert engine.solve(first).value == 8  # x1 true, three free bits
 
 
 class TestPackedRepresentation:

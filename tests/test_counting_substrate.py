@@ -6,14 +6,17 @@ Covers:
   byte accounting;
 * the shared component cache's differential guarantee — counts through a
   shared (and warm) cache are bit-identical to fresh-counter counts, over
-  the 16-property matrix at scopes 2–4 and over randomized CNFs;
-* the satellite fixes — ``count_formula`` routed through the count memo (or
-  rejected with a pointer to ``count``), lazy ``CNF.signature()``
-  memoization with invalidation, and ``CountStore`` write batching + WAL.
+  the 16-property matrix at scopes 2–4 and over randomized CNFs (whose
+  fresh counts are themselves checked against brute-force enumeration);
+* the satellite fixes — formula counts served through the count memo
+  (``solve_formula``; CNF-only backends reject it), lazy
+  ``CNF.signature()`` memoization with invalidation, and ``CountStore``
+  write batching + WAL.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.counting import (
@@ -23,7 +26,7 @@ from repro.counting import (
     EngineConfig,
     ExactCounter,
     FormulaBruteCounter,
-    LegacyExactCounter,
+    brute_force_models,
     closed_form_count,
 )
 from repro.counting.component_cache import entry_cost
@@ -103,6 +106,14 @@ def _random_cnf(rng: random.Random) -> CNF:
     return CNF(clauses, num_vars=num_vars, projection=projection)
 
 
+def _projected_model_count(cnf: CNF) -> int:
+    """Distinct projected rows of every total model, by exhaustive sweep."""
+    full = CNF(cnf.clauses, num_vars=cnf.num_vars, projection=range(1, cnf.num_vars + 1))
+    models = brute_force_models(full)
+    columns = [v - 1 for v in sorted(cnf.projected_vars())]
+    return len(np.unique(models[:, columns], axis=0)) if len(models) else 0
+
+
 class TestSharedCacheDifferential:
     """Shared-cache counts must be bit-identical to fresh-counter counts."""
 
@@ -135,8 +146,7 @@ class TestSharedCacheDifferential:
         for _ in range(150):
             cnf = _random_cnf(rng)
             fresh = ExactCounter(component_cache=None).count(cnf)
-            legacy = LegacyExactCounter().count(cnf.copy())
-            assert fresh == legacy
+            assert fresh == _projected_model_count(cnf)
             assert shared.count(cnf) == fresh
             # Eviction-heavy cache: correctness must survive mid-search
             # evictions under a cap far below the working set.
@@ -147,7 +157,7 @@ class TestSharedCacheDifferential:
         assert engine.component_cache is None
         assert engine.counter.component_cache is None
         cnf = translate(get_property("Transitive"), 3).cnf
-        assert engine.count(cnf) == 171
+        assert engine.solve(cnf).value == 171
 
 
 @pytest.fixture(scope="class")
@@ -159,23 +169,24 @@ class TestSatelliteFixes:
     def test_count_formula_memoized_through_engine(self):
         engine = CountingEngine(FormulaBruteCounter())
         formula = Or(And(Var(1), Var(2)), Var(3))
-        first = engine.count_formula(formula, 3)
+        first = engine.solve_formula(formula, 3).value
         assert first == 5
-        assert engine.count_formula(formula, 3) == 5
+        assert engine.solve_formula(formula, 3).value == 5
         assert engine.stats.count_calls == 2
         assert engine.stats.count_hits == 1
         assert engine.stats.backend_calls == 1
         # A different variable space is a different counting problem.
-        assert engine.count_formula(formula, 4) == 10
+        assert engine.solve_formula(formula, 4).value == 10
         assert engine.stats.backend_calls == 2
 
     def test_count_formula_rejected_for_cnf_only_backends(self):
         engine = CountingEngine()
-        with pytest.raises(AttributeError, match="engine.count"):
-            engine.count_formula
-        assert not hasattr(engine, "count_formula")
-        # AccMC's capability probe must still route CNF backends to CNFs.
-        assert hasattr(CountingEngine(FormulaBruteCounter()), "count_formula")
+        with pytest.raises(ValueError, match="count formulas"):
+            engine.solve_formula(Var(1), 1)
+        assert engine.stats.count_calls == 0
+        # AccMC's capability probe routes CNF backends to CNFs.
+        assert not engine.capabilities.counts_formulas
+        assert CountingEngine(FormulaBruteCounter()).capabilities.counts_formulas
 
     def test_signature_is_memoized_and_invalidated(self):
         cnf = CNF([[1, 2], [-1, 3]], projection=[1, 2, 3])

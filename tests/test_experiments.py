@@ -58,19 +58,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_counter("quantum")
 
-    def test_composite_counter_gets_the_experiment_seed(self):
+    def test_approx_counter_gets_the_experiment_seed(self):
         import random
 
-        counter = ExperimentConfig(counter="composite", seed=7).build_counter()
-        approx = counter._targets["approxmc"]
+        approx = ExperimentConfig(counter="approx", seed=7).build_counter()
         assert approx._rng.getstate() == random.Random(7).getstate()
         assert approx._rng.getstate() != random.Random(0).getstate()
 
-    def test_composite_fallback_gets_the_experiment_seed(self):
-        config = ExperimentConfig(fallback="composite", seed=7).engine_config()
+    def test_approx_fallback_gets_the_experiment_seed(self):
+        config = ExperimentConfig(fallback="approxmc", seed=7).engine_config()
         assert config.fallback_opts == {"seed": 7}
-        router = ExperimentConfig(fallback="router", seed=3).engine_config()
-        assert router.fallback_opts == {"seed": 3}
+        alias = ExperimentConfig(fallback="approx", seed=3).engine_config()
+        assert alias.fallback_opts == {"seed": 3}
+        # Unseeded backends get no seed option.
+        exact = ExperimentConfig(fallback="exact", seed=3).engine_config()
+        assert exact.fallback_opts == {}
 
     def test_scope_override(self):
         from repro.spec import get_property
@@ -260,7 +262,7 @@ class TestCli:
     def test_cli_table9_with_options(self, capsys):
         from repro.experiments.cli import main
 
-        code = main(["table9", "--scope", "3", "--counter", "brute"])
+        code = main(["table9", "--scope", "3", "--backend", "brute"])
         assert code == 0
         assert "MCML Precision" in capsys.readouterr().out
 

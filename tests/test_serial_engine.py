@@ -15,7 +15,8 @@ runs on the caller's thread:
   counts merged even when a later count raises a genuine error;
 * every registered backend counting on the caller's thread, starting no
   thread and no process, and giving the same values on fresh instances;
-* the removed concurrency knobs failing loudly instead of being ignored.
+* the removed knobs, backends and bare-int engine shims failing loudly
+  instead of being ignored or silently falling through to the backend.
 """
 
 import multiprocessing.process
@@ -31,6 +32,7 @@ from repro.counting import (
     Capabilities,
     CountFailure,
     CountingEngine,
+    CountRequest,
     CountResult,
     EngineConfig,
     ExactCounter,
@@ -279,7 +281,7 @@ class TestChainSteps:
         engine._execute_step(cold, completed, failed)
         assert set(completed) == {EASY.signature(), OTHER.signature()}
         assert completed[EASY.signature()][0] == 3
-        assert completed[EASY.signature()][2] is None  # not a routing backend
+        assert engine.stats.aborts == 1
         [failure] = failed.values()
         assert isinstance(failure, CountFailure)
         assert failure.kind == "budget"
@@ -303,7 +305,7 @@ class TestChainSteps:
             results = [None, None]
             cold = engine._memo_step([_flat(EASY), _flat(EASY.copy())], results)
             hashed = engine._store_step(cold, results)
-            completed = {EASY.signature(): (3, 0.0, None)}
+            completed = {EASY.signature(): (3, 0.0)}
             engine._merge_step(completed, cold, hashed, results)
             assert results[0] is results[1]
             assert results[0].source == "backend" and results[0].exact
@@ -317,7 +319,7 @@ class TestChainSteps:
             results = [None]
             cold = engine._memo_step([_flat(EASY)], results)
             hashed = engine._store_step(cold, results)
-            engine._merge_step({EASY.signature(): (3, 0.0, None)}, cold, hashed, results)
+            engine._merge_step({EASY.signature(): (3, 0.0)}, cold, hashed, results)
             assert results[0].exact is False
             assert engine._counts == {}
             assert engine.store is None or len(engine.store) == 0
@@ -349,6 +351,24 @@ class TestChainSteps:
         assert result.value == ExactCounter().count(HARD)
         assert engine.stats.fallbacks == 1
         assert engine._counts[HARD.signature()] == result.value
+
+    @pytest.mark.parametrize("fallback", (None, "approxmc"))
+    def test_an_abort_closes_the_count_calls_split(self, fallback):
+        # A budget abort is neither a hit nor a completed backend call: it
+        # is counted once in ``aborts``, rescued by the fallback or not.
+        engine = CountingEngine(ExactCounter(), EngineConfig(fallback=fallback))
+        request = CountRequest.from_cnf(
+            translate(get_property("PartialOrder"), 4).cnf, budget=5
+        )
+        outcome = engine.solve(request, on_failure="return")
+        assert isinstance(outcome, CountResult if fallback else CountFailure)
+        stats = engine.stats
+        assert (stats.count_calls, stats.aborts, stats.backend_calls) == (1, 1, 0)
+        assert stats.fallbacks == (1 if fallback else 0)
+        assert stats.count_calls == (
+            stats.count_hits + stats.store_hits + stats.circuit_hits
+            + stats.backend_calls + stats.aborts
+        )
 
 
 # -- batch-level guarantees of the chain ---------------------------------------------
@@ -493,19 +513,37 @@ class TestOneThreadPerProcess:
 
 class TestRemovedKnobs:
     @pytest.mark.parametrize(
-        "knob", ("workers", "deadline_grace", "task_retries", "fanout_min_vars")
+        "knob",
+        (
+            "workers",
+            "deadline_grace",
+            "task_retries",
+            "fanout_min_vars",
+            "component_spill",
+            "circuit_store",
+        ),
     )
     def test_engine_config(self, knob):
         with pytest.raises(TypeError, match=knob):
             EngineConfig(**{knob: 2})
 
-    @pytest.mark.parametrize("knob", ("workers", "fanout_min_vars"))
+    @pytest.mark.parametrize(
+        "knob", ("workers", "fanout_min_vars", "component_spill", "circuit_store")
+    )
     def test_experiment_config(self, knob):
         with pytest.raises(TypeError, match=knob):
             ExperimentConfig(**{knob: 2})
 
     @pytest.mark.parametrize(
-        "knob", ("workers", "deadline_grace", "task_retries", "fanout_min_vars")
+        "knob",
+        (
+            "workers",
+            "deadline_grace",
+            "task_retries",
+            "fanout_min_vars",
+            "component_spill",
+            "circuit_store",
+        ),
     )
     def test_session(self, knob):
         with pytest.raises(TypeError, match=knob):
@@ -518,7 +556,15 @@ class TestRemovedKnobs:
                 CountingServer(session, port=0, **{knob: None})
 
     @pytest.mark.parametrize(
-        "flag", ("--workers", "--fanout-min-vars", "--solver-threads")
+        "flag",
+        (
+            "--workers",
+            "--fanout-min-vars",
+            "--solver-threads",
+            "--counter",
+            "--component-spill",
+            "--circuit-store",
+        ),
     )
     def test_cli_flag(self, flag, capsys):
         parser = build_parser()
@@ -538,8 +584,27 @@ class TestRemovedKnobs:
             "component_fanouts",
             "fanout_subproblems",
         }
+        # No routing flag, provenance field or per-route counter is left.
+        for dataclass_ in (Capabilities, CountResult, EngineStats):
+            routing = [
+                name
+                for name in dataclass_.__dataclass_fields__
+                if name.startswith("rout")
+            ]
+            assert routing == [], dataclass_.__name__
 
-    def test_bdd_backend_is_gone(self):
-        assert "bdd" not in BACKENDS
-        with pytest.raises(ValueError, match="compiled"):
-            make_backend("bdd")
+    @pytest.mark.parametrize(
+        "name", ("bdd", "legacy", "exact-legacy", "composite", "router")
+    )
+    def test_removed_backend_is_gone(self, name):
+        assert name not in BACKENDS
+        with pytest.raises(ValueError, match="unknown counter"):
+            make_backend(name)
+
+    @pytest.mark.parametrize("name", ("count", "count_many", "count_formula"))
+    def test_engine_has_no_bare_int_shim(self, name):
+        # The brute backend has both ``count`` and ``count_formula``: the
+        # engine must not fall through to them past its memo and stats.
+        engine = CountingEngine(make_backend("brute"))
+        with pytest.raises(AttributeError, match=name):
+            getattr(engine, name)

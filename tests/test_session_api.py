@@ -2,9 +2,10 @@
 
 Covers the typed request/result layer (`CountRequest`/`CountResult`
 round-trips, provenance, precision/budget semantics), the engine's typed
-``solve``/``solve_many``/``solve_formula`` path and its bare-int shims,
-the disk-persistent compilation memos, the `MCMLSession` facade, and the
-CLI surface (``--backend``, ``--list-backends``).
+``solve``/``solve_many``/``solve_formula`` path, the disk-persistent
+compilation memos, the `MCMLSession` facade (including the seed reaching
+seeded backends the same way `ExperimentConfig` threads it), and the CLI
+surface (``--backend``, ``--list-backends``).
 """
 
 import pickle
@@ -23,6 +24,7 @@ from repro.counting import (
 )
 from repro.counting.exact import CounterBudgetExceeded, ExactCounter
 from repro.experiments.cli import build_parser, config_from_args, list_backends, main
+from repro.experiments.config import ExperimentConfig
 from repro.spec import get_property, translate
 
 
@@ -91,7 +93,8 @@ class TestTypedSolvePath:
         a, b = _cnf("Reflexive"), _cnf("Irreflexive")
         engine.solve(a)
         results = engine.solve_many([a, b, b.copy()])
-        assert [r.value for r in results] == engine.count_many([a, b, b])
+        fresh = CountingEngine().solve_many([a, b, b])
+        assert [r.value for r in results] == [r.value for r in fresh]
         assert results[0].source == "memo"
         assert results[1].source == "backend"
         # The in-batch duplicate shares the representative's answer.
@@ -117,12 +120,6 @@ class TestTypedSolvePath:
         # Unbudgeted retry succeeds and memoizes.
         value = engine.solve(_cnf("PartialOrder", 4, symmetry=None)).value
         assert value > 0
-
-    def test_shims_equal_typed_path(self):
-        engine = CountingEngine()
-        cnf = _cnf("Antisymmetric")
-        assert engine.count(cnf) == engine.solve(cnf).value
-        assert engine.count_many([cnf]) == [engine.solve(cnf).value]
 
     def test_solve_formula_memoizes_and_gates(self):
         brute = CountingEngine(make_backend("brute"))
@@ -245,25 +242,63 @@ class TestMCMLSession:
         session.close()
 
 
+class TestSeededBackends:
+    """``MCMLSession(seed=s)`` and ``ExperimentConfig(seed=s).session()`` agree."""
+
+    SEEDS = (1, 2, 3)
+
+    def test_primary_backend_takes_the_session_seed(self):
+        cnf = _cnf()
+        values = []
+        for seed in self.SEEDS:
+            with MCMLSession(backend="approxmc", seed=seed) as session:
+                direct = session.solve(cnf).value
+            config = ExperimentConfig(seed=seed, counter="approxmc")
+            with config.session() as session:
+                assert session.solve(cnf).value == direct
+            values.append(direct)
+        # The seed reaches the counter: not every seed gives one estimate.
+        assert len(set(values)) > 1
+
+    def test_fallback_takes_the_session_seed(self):
+        request = CountRequest.from_cnf(_cnf(), budget=1)
+        values = []
+        for seed in self.SEEDS:
+            with MCMLSession(fallback="approxmc", seed=seed) as session:
+                direct = session.solve(request)
+            config = ExperimentConfig(seed=seed, fallback="approxmc")
+            with config.session() as session:
+                via_config = session.solve(request)
+            assert direct.source == via_config.source == "fallback"
+            assert via_config.value == direct.value
+            values.append(direct.value)
+        assert len(set(values)) > 1
+
+    def test_explicit_backend_seed_wins(self):
+        cnf = _cnf()
+        with MCMLSession(backend="approxmc", backend_opts={"seed": 2}, seed=1) as a:
+            with MCMLSession(backend="approxmc", seed=2) as b:
+                assert a.solve(cnf).value == b.solve(cnf).value
+
+
 class TestCLISurface:
     def test_list_backends_flag(self, capsys):
         assert main(["--list-backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("exact", "legacy", "brute", "compiled", "approxmc", "composite"):
+        for name in ("exact", "brute", "compiled", "approxmc"):
             assert name in out
         # One column per declared capability flag.
-        for column in ("exact", "formulas", "projection", "components", "cubes", "routes"):
+        for column in ("exact", "formulas", "projection", "components", "cubes"):
             assert column in out
-        # The deleted capability flags and backend are gone from the listing.
-        for gone in ("parallel", "decomposes", "bdd"):
+        # The deleted capability flags, backends and routing table are gone.
+        for gone in ("parallel", "decomposes", "bdd", "legacy", "composite", "rout"):
             assert gone not in out
 
     def test_backend_flag_flows_into_config(self):
-        args = build_parser().parse_args(["table9", "--backend", "legacy"])
-        assert config_from_args(args).counter == "legacy"
-        # --counter stays as the deprecated alias.
-        args = build_parser().parse_args(["table9", "--counter", "brute"])
+        args = build_parser().parse_args(["table9", "--backend", "brute"])
         assert config_from_args(args).counter == "brute"
+        args = build_parser().parse_args(["table9"])
+        assert config_from_args(args).counter == "exact"
 
     def test_listing_renders_every_backend(self):
         text = list_backends()
@@ -275,10 +310,10 @@ class TestCLISurface:
         assert exact_row.rstrip().endswith("-")
 
     def test_backend_runs_end_to_end(self, capsys):
-        # Fast end-to-end runs for non-default backends: the legacy exact
-        # counter drives Table 9, the compiled backend drives Table 8 (its
-        # region CNFs are auxiliary-free, the one shape compiled serves).
-        assert main(["table9", "--scope", "3", "--backend", "legacy"]) == 0
+        # Fast end-to-end runs for non-default backends: the brute sweep
+        # drives Table 9, the compiled backend drives Table 8 (its region
+        # CNFs are auxiliary-free, the one shape compiled serves).
+        assert main(["table9", "--scope", "3", "--backend", "brute"]) == 0
         assert "Table 9" in capsys.readouterr().out
         assert (
             main(
