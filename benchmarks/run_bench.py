@@ -4,9 +4,7 @@
 Runs the ``TestCounterAblation`` benchmarks of ``bench_substrates.py``
 through pytest-benchmark, extracts the per-backend median times, runs the
 counting-service ablations (warm-vs-cold disk cache on a Table 1 slice, shared
-component cache on the same-φ/many-regions AccMC ratio sweep, cold-run
-vs warm-restart component *spill* on the per-path variant of that sweep,
-cold-compile vs warm-conditioned circuit counting on a DiffMC-shaped
+component cache on the same-φ/many-regions AccMC ratio sweep, cold-compile vs warm-conditioned circuit counting on a DiffMC-shaped
 ratio sweep, daemon-vs-in-process throughput plus a request-coalescing
 probe for the TCP counting service, 1-vs-2-shard cluster counting under
 the consistent-hash ``ShardedClient`` with warm-store dedup enforced, a
@@ -164,114 +162,6 @@ def component_cache_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
         "cache_hits": cache.hits,
         "cache_evictions": cache.evictions,
         "cache_approx_mb": round(cache.approximate_bytes() / (1 << 20), 1),
-        "bit_identical": True,
-    }
-
-
-def component_spill_ablation(scope: int, fractions: tuple[float, ...]) -> dict:
-    """Cold-run vs warm-restart on the per-path same-φ/many-regions sweep.
-
-    The sweep is the component-cache ablation's workload — one property's
-    φ/¬φ against the regions of a decision tree retrained per fraction —
-    but counted through the **per-path route**
-    (``CountRequest(strategy="per-path")``: one φ-plus-unit-cube problem
-    per tree path).  Three timed runs:
-
-    * ``conjunction_s`` — the conjunction route, cold, for context;
-    * ``cold_s`` — the per-path route, cold, on a fresh ``cache_dir``
-      (close() spills the component cache to ``components.sqlite``);
-    * ``warm_s`` — a *fresh engine on the same cache_dir* re-counting the
-      sweep after ``counts.sqlite``/``memos.sqlite`` are deleted, so every
-      whole count misses and the measured speedup isolates the spill tier:
-      the engine performs real backend counts whose components promote
-      from disk (``EngineStats.component_spill_hits``).
-
-    Bit-identity of per-path vs conjunction and of warm vs cold is
-    enforced hard.
-    """
-    from repro.core.pipeline import MCMLPipeline
-    from repro.core.tree2cnf import label_cubes, label_region_cnf
-    from repro.counting import CountingEngine, CountRequest, EngineConfig
-    from repro.spec import SymmetryBreaking, get_property, translate
-
-    prop = get_property("PartialOrder")
-    symmetry = SymmetryBreaking()
-    phi = translate(prop, scope, symmetry=symmetry).cnf
-    not_phi = translate(prop, scope, symmetry=symmetry, negate=True).cnf
-    pipeline = MCMLPipeline(seed=0)
-    dataset = pipeline.make_dataset(prop, scope, symmetry=symmetry)
-    conjunction: list = []
-    per_path: list = []
-    m = scope * scope
-    for fraction in fractions:
-        train, _ = dataset.split(fraction, rng=0)
-        tree = pipeline.train("DT", train)
-        paths = tree.decision_paths()
-        for base in (phi, not_phi):
-            for label in (1, 0):
-                conjunction.append(base.conjoin(label_region_cnf(paths, label, m)))
-                per_path.append(
-                    CountRequest.from_cnf(
-                        base, strategy="per-path", cubes=label_cubes(paths, label)
-                    )
-                )
-
-    conjunction_engine = CountingEngine(config=EngineConfig())
-    started = perf_counter()
-    conjunction_counts = [r.value for r in conjunction_engine.solve_many(conjunction)]
-    conjunction_s = perf_counter() - started
-
-    with tempfile.TemporaryDirectory() as cache_dir:
-        cold_engine = CountingEngine(config=EngineConfig(cache_dir=cache_dir))
-        started = perf_counter()
-        cold_counts = [r.value for r in cold_engine.solve_many(per_path)]
-        cold_s = perf_counter() - started
-        cold_engine.close()  # spills the component cache
-        spilled = len(cold_engine.component_store)
-        # Drop the whole-count and compilation stores: the warm engine must
-        # recount for real, so the timing isolates the component spill.
-        for name in ("counts.sqlite", "memos.sqlite"):
-            for suffix in ("", "-wal", "-shm"):
-                (Path(cache_dir) / (name + suffix)).unlink(missing_ok=True)
-        warm_engine = CountingEngine(config=EngineConfig(cache_dir=cache_dir))
-        started = perf_counter()
-        warm_counts = [r.value for r in warm_engine.solve_many(per_path)]
-        warm_s = perf_counter() - started
-        spill_hits = warm_engine.stats.component_spill_hits
-        warm_backend = warm_engine.stats.backend_calls
-        warm_engine.close()
-
-    if cold_counts != conjunction_counts:
-        raise SystemExit(
-            f"per-path counts diverge from conjunction: "
-            f"{cold_counts} != {conjunction_counts}"
-        )
-    if warm_counts != cold_counts:
-        raise SystemExit("warm-restart per-path counts diverge from cold run")
-    if warm_backend == 0:
-        raise SystemExit(
-            "warm restart performed no backend counts — the ablation is "
-            "measuring the whole-count store, not the component spill"
-        )
-    if spill_hits == 0:
-        raise SystemExit("warm restart promoted no spilled components")
-    return {
-        "instance": (
-            f"per-path AccMC ratio sweep: PartialOrder scope {scope}, "
-            f"adjacent symmetry breaking, DT retrained at {len(fractions)} "
-            f"training fractions, φ/¬φ × true/false regions "
-            f"({len(per_path)} region counts; warm restart re-counts with "
-            "counts.sqlite removed so only components.sqlite is warm)"
-        ),
-        "problems": len(per_path),
-        "conjunction_s": round(conjunction_s, 4),
-        "cold_s": round(cold_s, 4),
-        "warm_s": round(warm_s, 4),
-        "speedup_x": round(cold_s / warm_s, 2),
-        "vs_conjunction_cold_x": round(conjunction_s / warm_s, 2),
-        "spilled_entries": spilled,
-        "spill_hits": spill_hits,
-        "warm_backend_counts": warm_backend,
         "bit_identical": True,
     }
 
@@ -898,7 +788,6 @@ def _print_ablations(
     cache_result: dict,
     component_result: dict | None = None,
     store_result: dict | None = None,
-    spill_result: dict | None = None,
     conditioning_result: dict | None = None,
     service_result: dict | None = None,
     cluster_result: dict | None = None,
@@ -916,15 +805,6 @@ def _print_ablations(
             f"({component_result['speedup_x']}x over "
             f"{component_result['problems']} unique problems, "
             f"{component_result['cache_hits']} component hits), bit-identical"
-        )
-    if spill_result is not None:
-        print(
-            f"  component spill (per-path sweep): conjunction cold "
-            f"{spill_result['conjunction_s']:.3f} s, per-path cold "
-            f"{spill_result['cold_s']:.3f} s, warm restart "
-            f"{spill_result['warm_s']:.3f} s ({spill_result['speedup_x']}x "
-            f"cold->warm, {spill_result['spill_hits']} promotions from "
-            f"{spill_result['spilled_entries']} spilled entries), bit-identical"
         )
     if conditioning_result is not None:
         print(
@@ -1156,7 +1036,6 @@ def main() -> None:
         component_result = component_cache_ablation(
             scope=3, fractions=(0.75, 0.5, 0.25)
         )
-        spill_result = component_spill_ablation(scope=3, fractions=(0.75, 0.5, 0.25))
         conditioning_result = compiled_conditioning_ablation(
             scope=3, fractions=(0.75, 0.5, 0.25), reps=3
         )
@@ -1173,7 +1052,7 @@ def main() -> None:
         store_result = store_roundtrip_bench(entries=500)
         _print_ablations(
             cache_result, component_result, store_result,
-            spill_result, conditioning_result, service_result, cluster_result,
+            conditioning_result, service_result, cluster_result,
         )
         for name in args.backend or ():
             backend_smoke(name)
@@ -1191,7 +1070,6 @@ def main() -> None:
                 "ablations": {
                     "disk_cache": cache_result,
                     "component_cache": component_result,
-                    "component_spill": spill_result,
                     "compiled_conditioning": conditioning_result,
                     "service_throughput": service_result,
                     "cluster_sharding": cluster_result,
@@ -1215,10 +1093,6 @@ def main() -> None:
             0.75, 0.7, 0.65, 0.6, 0.55, 0.5, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2,
             0.15, 0.1,
         ),
-    )
-    spill_result = component_spill_ablation(
-        scope=4,
-        fractions=(0.75, 0.65, 0.55, 0.45, 0.35, 0.25, 0.15),
     )
     conditioning_result = compiled_conditioning_ablation(
         scope=4,
@@ -1245,7 +1119,6 @@ def main() -> None:
     document["ablations"] = {
         "disk_cache": cache_result,
         "component_cache": component_result,
-        "component_spill": spill_result,
         "compiled_conditioning": conditioning_result,
         "service_throughput": service_result,
         "cluster_sharding": cluster_result,
@@ -1271,7 +1144,6 @@ def main() -> None:
             "warm_cache_backend_counts": cache_result["warm_backend_counts"],
             "warm_cache_speedup_x": cache_result["speedup_x"],
             "component_cache_speedup_x": component_result["speedup_x"],
-            "component_spill_speedup_x": spill_result["speedup_x"],
             "compiled_conditioning_speedup_x": conditioning_result["speedup_x"],
             "service_wire_overhead_x": service_result["wire_overhead_x"],
             "service_coalesce_backend_calls": service_result["coalesce_backend_calls"],
@@ -1292,7 +1164,7 @@ def main() -> None:
         print(f"  {label:>14}: median {stats['median_s'] * 1000:8.2f} ms")
     _print_ablations(
         cache_result, component_result, store_result,
-        spill_result, conditioning_result, service_result, cluster_result,
+        conditioning_result, service_result, cluster_result,
     )
 
 

@@ -31,8 +31,8 @@ Two region-counting *routes*, orthogonal to the mode:
   sub-problem per path.  Unit cubes propagate in one sweep, and paths
   shared between trees (retrained models overlap heavily) produce
   *identical* sub-problems that dedup through the engine's memo and disk
-  stores — with a warm component spill this turns repeated-φ sweeps into
-  cache assembly.  Sub-counts sum exactly, so the route needs an exact
+  stores, and their components share the engine's in-memory component
+  cache.  Sub-counts sum exactly, so the route needs an exact
   backend; others fall back to the conjunction route.  Both routes are
   bit-identical by the partition argument (and enforced by tests).
 """

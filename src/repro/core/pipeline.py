@@ -84,6 +84,8 @@ class MCMLPipeline:
         )
         self.engine = self.accmc.engine
         self.seed = seed
+        #: Per-pipeline dataset memo; see :meth:`make_dataset`.
+        self._datasets: dict[tuple, Dataset] = {}
 
     # -- dataset handling -------------------------------------------------------------
 
@@ -95,15 +97,31 @@ class MCMLPipeline:
         negative_ratio: float = 1.0,
         max_positives: int | None = None,
     ) -> Dataset:
+        """The labelled dataset for ``prop`` at ``scope``, built once.
+
+        Generation draws from a fresh ``default_rng(self.seed)``, so the
+        result is a pure function of its arguments and the seed; the
+        tables that share a dataset (every training ratio of a row, every
+        model of Table 9's ratio sweep) get the same object from a memo.
+        Its ``X``/``y`` arrays are read-only: a caller that writes to a
+        shared dataset gets an error instead of corrupting it.
+        """
         prop = get_property(prop) if isinstance(prop, str) else prop
-        return generate_dataset(
-            prop,
-            scope,
-            symmetry=symmetry,
-            negative_ratio=negative_ratio,
-            max_positives=max_positives,
-            rng=np.random.default_rng(self.seed),
-        )
+        key = (prop, scope, symmetry, negative_ratio, max_positives, self.seed)
+        dataset = self._datasets.get(key)
+        if dataset is None:
+            dataset = generate_dataset(
+                prop,
+                scope,
+                symmetry=symmetry,
+                negative_ratio=negative_ratio,
+                max_positives=max_positives,
+                rng=np.random.default_rng(self.seed),
+            )
+            dataset.X.flags.writeable = False
+            dataset.y.flags.writeable = False
+            self._datasets[key] = dataset
+        return dataset
 
     # -- model handling ---------------------------------------------------------------
 

@@ -11,7 +11,8 @@ engine/config/store plumbing by hand; a session owns that plumbing once:
   persistence knobs (one ``cache_dir`` for every disk tier, the shared
   component cache) and the fallback backend;
 * one :class:`~repro.core.pipeline.MCMLPipeline` for dataset generation
-  and model training, sharing the session seed;
+  and model training, sharing the session seed (each distinct dataset is
+  generated once per session and reused);
 * the metric entry points — :meth:`accmc`, :meth:`diffmc`, :meth:`bnnmc`,
   :meth:`count`/:meth:`solve` — and the artifact entry point
   :meth:`table`, which runs any of the paper's tables through this
@@ -82,9 +83,11 @@ class MCMLSession(CountingSurface):
         one — the session then shares (and on ``close()`` releases) it.
     cache_dir / component_cache_mb:
         The :class:`EngineConfig` persistence knobs.  ``cache_dir`` holds
-        every disk tier: counts, compilations, the component-cache spill
-        and, on a ``conditions_cubes`` backend, the compiled circuits, so
-        a warm restart neither recounts nor recompiles.
+        the three disk tiers: counts, compilations and, on a
+        ``conditions_cubes`` backend, the compiled circuits, so a warm
+        restart neither recounts nor recompiles.  The component cache
+        stays in memory; an old ``components.sqlite`` in the directory is
+        ignored and may be deleted.
     fallback / fallback_opts:
         The degradation ladder: a registered backend name failed problems
         (budget, deadline) are re-counted on, with explicit
@@ -185,11 +188,6 @@ class MCMLSession(CountingSurface):
     def store(self):
         """The disk-persistent count store, or None when not configured."""
         return self.engine.store
-
-    @property
-    def component_store(self):
-        """The component-cache disk spill, or None when not configured."""
-        return self.engine.component_store
 
     @property
     def circuit_store(self):

@@ -41,10 +41,10 @@ within a process; separate processes share work through the disk stores
   and is shared engine-wide.
 * :mod:`repro.counting.store` — the disk tiers, all subclasses of one
   ``_SqliteStore`` base: :class:`CountStore` (whole counts keyed on
-  canonical CNF signatures), :class:`BlobStore` (compilation memos),
-  :class:`ComponentStore` (the component-cache spill) and
+  canonical CNF signatures), :class:`BlobStore` (compilation memos) and
   :class:`CircuitStore` (pickled compiled circuits, so a warm restart
-  conditions without recompiling).
+  conditions without recompiling).  The component cache has no disk
+  tier; an old ``components.sqlite`` in a cache directory is ignored.
 * :mod:`repro.counting.faults` — the fault-injection harness the chaos
   suite drives the robustness layer with (corrupt stores, full disks,
   hostile network peers).
@@ -91,7 +91,6 @@ from repro.counting.oracles import closed_form_count
 from repro.counting.store import (
     BlobStore,
     CircuitStore,
-    ComponentStore,
     CountStore,
     signature_key,
     text_key,
@@ -107,7 +106,6 @@ __all__ = [
     "CircuitStore",
     "CompiledCounter",
     "ComponentCache",
-    "ComponentStore",
     "CountFailure",
     "CountRequest",
     "CountResult",

@@ -657,11 +657,6 @@ class EngineStats:
     ``circuit_store_hits > 0`` and ``circuit_compilations == 0``.
     ``translate_store_hits``/``region_store_hits`` count compilations
     warmed from the disk-persistent memo store rather than recompiled.
-    ``component_spill_hits`` counts *sub-problem* components promoted from
-    the disk spill tier (:class:`~repro.counting.store.ComponentStore`)
-    back into the shared component cache — a warm-restarted engine doing
-    genuinely new counts over a known φ shows ``backend_calls > 0`` but
-    large ``component_spill_hits``.
 
     The failure-path counters observe the robustness layer:
     ``timeouts`` counts the aborts caused by a wall-clock deadline
@@ -670,7 +665,7 @@ class EngineStats:
     configured fallback backend;
     ``store_degradations`` disk-tier degradation events (corrupt database
     rotated aside, unreadable row read as a miss, swallowed write
-    failure) across all four disk tiers.
+    failure) across all three disk tiers.
     """
 
     count_calls: int = 0
@@ -681,7 +676,6 @@ class EngineStats:
     aborts: int = 0
     circuit_compilations: int = 0
     circuit_store_hits: int = 0
-    component_spill_hits: int = 0
     translate_calls: int = 0
     translate_hits: int = 0
     translate_store_hits: int = 0

@@ -17,22 +17,18 @@ reuse is its natural extension once an engine owns the batch).
   instead (same-φ conjunctions share that work wholesale, because clauses
   inside the projection can never contain an elimination pivot).  Either
   value is a *pure function* of its key, so sharing entries across calls,
-  problems, engines and even processes is sound by construction: a warm
+  problems and engines is sound by construction: a warm
   hit is bit-identical to a cold recount;
 * the cache is bounded: a byte budget (estimated — see :func:`entry_cost`)
-  and/or an entry budget, evicting least-recently-used entries first;
-* it can *spill to disk*: with a
-  :class:`~repro.counting.store.ComponentStore` attached
-  (:meth:`attach_spill`), LRU-evicted entries are persisted instead of
-  dropped, in-memory misses consult the store before declaring a component
-  cold (promoting hits back to memory), and :meth:`spill_all` persists the
-  live entries wholesale — which is how an engine's ``close()`` makes a
-  φ's component work survive restarts the way whole counts already do.
-  Because every value is a pure function of its key, a promoted entry is
-  bit-identical to a cold recount.
+  and/or an entry budget, evicting least-recently-used entries first.
+  Evicted entries are dropped; a later miss recounts the component.
+
+The cache lives in memory only: a disk tier for components was measured
+not to win across sessions, and the whole-count tier (``counts.sqlite``)
+already answers exact repeats before the counter runs.
 
 Thread-safety: none — the cache is meant to be owned by one engine in one
-process; processes share component work only through the spill store.
+process.
 """
 
 from __future__ import annotations
@@ -97,12 +93,9 @@ class ComponentCache:
         "max_entries",
         "_data",
         "_bytes",
-        "_spill",
         "hits",
         "misses",
         "evictions",
-        "spill_hits",
-        "spills",
     )
 
     def __init__(
@@ -114,32 +107,16 @@ class ComponentCache:
         self.max_entries = max_entries
         self._data: OrderedDict[ComponentKey, int] = OrderedDict()
         self._bytes = 0
-        self._spill = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.spill_hits = 0
-        self.spills = 0
 
     # -- the hot-path pair ------------------------------------------------------------
 
     def get(self, key: ComponentKey) -> int | None:
-        """The cached count for ``key`` (refreshing its recency), or None.
-
-        With a spill store attached, an in-memory miss consults the disk
-        tier before declaring the component cold; a disk hit is promoted
-        back into memory (as the most-recent entry, possibly evicting —
-        and hence re-spilling — colder ones).
-        """
+        """The cached count for ``key`` (refreshing its recency), or None."""
         value = self._data.get(key)
         if value is None:
-            spill = self._spill
-            if spill is not None:
-                value = spill.get(key)
-                if value is not None:
-                    self.spill_hits += 1
-                    self.put(key, value)
-                    return value
             self.misses += 1
             return None
         self._data.move_to_end(key)
@@ -147,12 +124,7 @@ class ComponentCache:
         return value
 
     def put(self, key: ComponentKey, value: int) -> None:
-        """Insert ``key -> value``, evicting LRU entries past the caps.
-
-        With a spill store attached, evicted entries are persisted to disk
-        instead of dropped (the store dedups re-spills of keys it already
-        holds).
-        """
+        """Insert ``key -> value``, dropping LRU entries past the caps."""
         data = self._data
         if key in data:
             data.move_to_end(key)
@@ -160,52 +132,17 @@ class ComponentCache:
         data[key] = value
         self._bytes += entry_cost(key, value)
         max_bytes, max_entries = self.max_bytes, self.max_entries
-        spill = self._spill
         while (max_bytes is not None and self._bytes > max_bytes and data) or (
             max_entries is not None and len(data) > max_entries
         ):
             old_key, old_value = data.popitem(last=False)
             self._bytes -= entry_cost(old_key, old_value)
             self.evictions += 1
-            if spill is not None:
-                spill.put(old_key, old_value)
-                self.spills += 1
-
-    # -- the disk tier ----------------------------------------------------------------
-
-    def attach_spill(self, store) -> None:
-        """Attach a :class:`~repro.counting.store.ComponentStore` spill tier.
-
-        Evictions spill to ``store`` from now on and misses consult it;
-        ``None`` detaches (in-memory-only behaviour).
-        """
-        self._spill = store
-
-    @property
-    def spill(self):
-        """The attached spill store, or None."""
-        return self._spill
-
-    def spill_all(self) -> int:
-        """Persist every live in-memory entry to the spill store.
-
-        Called at engine close so a clean shutdown — not just eviction
-        pressure — leaves the component work on disk for the next session.
-        Returns the number of entries offered to the store (which dedups
-        keys it already holds) — 0 when no store is attached.
-        """
-        spill = self._spill
-        if spill is None:
-            return 0
-        for key, value in self._data.items():
-            spill.put(key, value)
-        spill.flush()
-        return len(self._data)
 
     # -- maintenance ------------------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop the in-memory entries (an attached spill store is kept)."""
+        """Drop every entry (the hit/miss/eviction counters are kept)."""
         self._data.clear()
         self._bytes = 0
 
@@ -220,11 +157,6 @@ class ComponentCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "spill_hits": self.spill_hits,
-            "spills": self.spills,
-            "spill_degradations": (
-                getattr(self._spill, "degradations", 0) if self._spill is not None else 0
-            ),
         }
 
     def __len__(self) -> int:
@@ -235,9 +167,8 @@ class ComponentCache:
 
     def __repr__(self) -> str:
         cap = "unbounded" if self.max_bytes is None else f"{self.max_bytes >> 20}MiB"
-        spill = ", spill" if self._spill is not None else ""
         return (
             f"ComponentCache(entries={len(self._data)}, cap={cap}, "
             f"hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}{spill})"
+            f"evictions={self.evictions})"
         )

@@ -32,10 +32,7 @@ a process and across sessions:
   :class:`repro.counting.component_cache.ComponentCache` installed on
   backends that declare ``owns_component_cache``, so the *sub-problems* of
   different counting calls share work too (``EngineConfig(component_cache_mb=…)``,
-  0 to opt out); with ``cache_dir`` configured the cache additionally
-  *spills to disk*: evictions and ``close()`` persist entries into a
-  :class:`repro.counting.store.ComponentStore` and misses consult it
-  before recounting, so component work survives engine restarts;
+  0 to opt out); it lives in memory only and drops what it evicts;
 * requests with ``strategy="per-path"`` decompose a tree-region count into
   one sub-problem per disjoint path cube (``mc(φ∧τ) = Σ_paths mc(φ∧path)``)
   — the cubes are unit clauses that propagate hard, and the sub-problems
@@ -47,7 +44,7 @@ a process and across sessions:
   :class:`~repro.counting.circuit.Circuit` and every ``mc(φ∧path)`` is
   answered by unit-cube conditioning — a linear DAG pass — with
   ``source="circuit"`` provenance.  Compiled circuits are memoized
-  in-process and, with ``cache_dir`` configured, persisted in a fourth
+  in-process and, with ``cache_dir`` configured, persisted in a third
   disk tier (:class:`repro.counting.store.CircuitStore`), so a warm
   restart performs zero compilations (``EngineStats.circuit_store_hits``);
 * failures are *typed and contained*: budget exhaustions and wall-clock
@@ -102,7 +99,6 @@ from repro.counting.exact import CounterAbort, ExactCounter
 from repro.counting.store import (
     BlobStore,
     CircuitStore,
-    ComponentStore,
     CountStore,
     signature_key,
     text_key,
@@ -125,11 +121,10 @@ class EngineConfig:
         warm) across processes and sessions.  Counts persist only for
         backends whose capabilities declare ``exact`` (estimates are not
         portable); compilations are backend-independent and persist for
-        every backend.  The same directory holds the component-cache
-        spill (:class:`~repro.counting.store.ComponentStore`) whenever
-        the engine owns a component cache, and the compiled-circuit tier
+        every backend.  The same directory holds the compiled-circuit tier
         (:class:`~repro.counting.store.CircuitStore`) whenever the backend
-        declares ``conditions_cubes``.
+        declares ``conditions_cubes``.  An old ``components.sqlite`` left
+        there by an earlier version is ignored and may be deleted.
     component_cache_mb:
         Approximate byte budget (in MiB) of the engine-owned
         :class:`~repro.counting.component_cache.ComponentCache` shared
@@ -275,13 +270,6 @@ class CountingEngine:
                 self.counter.component_cache = self.component_cache
             else:
                 self.counter.component_cache = None
-        # The spill tier needs a component cache to spill and a cache_dir
-        # to spill into.  Attached to the shared cache, so evictions and
-        # close-time spills both reach disk.
-        self.component_store: ComponentStore | None = None
-        if self.component_cache is not None and self.config.cache_dir is not None:
-            self.component_store = ComponentStore(self.config.cache_dir)
-            self.component_cache.attach_spill(self.component_store)
         # The circuit tier rides on the backend's conditions_cubes
         # declaration: only a compiling backend produces circuits worth
         # keeping, and only per-path conditioning consumes them.
@@ -290,7 +278,6 @@ class CountingEngine:
             self.circuit_store = CircuitStore(self.config.cache_dir)
         #: In-process circuit memo: base signature -> compiled Circuit.
         self._circuits: dict[tuple, object] = {}
-        self._component_spill_hits_base = 0
         self._store_degradations_base = 0
         # The degradation ladder's fallback backend, built eagerly so a
         # misconfigured name fails at construction, not at the first
@@ -433,7 +420,6 @@ class CountingEngine:
             shape.append(("one", len(flat) - 1))
 
         partial = self._solve_flat(flat)
-        self._sync_component_stats()
         self._sync_store_degradations()
         stats_delta = self.stats.delta_since(before)
         results: list[CountResult | CountFailure] = []
@@ -814,20 +800,11 @@ class CountingEngine:
             stats_delta=delta,
         )
 
-    def _sync_component_stats(self) -> None:
-        """Mirror the component cache's spill promotions into EngineStats."""
-        cache = self.component_cache
-        if cache is not None and self.component_store is not None:
-            self.stats.component_spill_hits = (
-                cache.spill_hits - self._component_spill_hits_base
-            )
-
     def _store_degradations_total(self) -> int:
         total = 0
         for store in (
             self.store,
             self.memo_store,
-            self.component_store,
             self.circuit_store,
         ):
             if store is not None:
@@ -1023,10 +1000,8 @@ class CountingEngine:
         self._circuits.clear()
         if self.component_cache is not None:
             self.component_cache.clear()
-            # The cache's own counters are cumulative; re-baseline so the
-            # fresh EngineStats reports spill promotions from zero.
-            self._component_spill_hits_base = self.component_cache.spill_hits
-        # Same re-baselining for the cumulative store counters.
+        # The store counters are cumulative; re-baseline so the fresh
+        # EngineStats reports degradations from zero.
         self._store_degradations_base = self._store_degradations_total()
         self.stats = EngineStats()
 
@@ -1040,13 +1015,6 @@ class CountingEngine:
             self.store.close()
         if self.memo_store is not None:
             self.memo_store.close()
-        if self.component_store is not None:
-            # A clean shutdown persists the live component entries too —
-            # eviction pressure alone would leave an under-budget cache
-            # entirely in memory and the next session cold.
-            if self.component_cache is not None:
-                self.component_cache.spill_all()
-            self.component_store.close()
         if self.circuit_store is not None:
             self.circuit_store.close()
 
@@ -1060,8 +1028,7 @@ class CountingEngine:
         s = self.stats
         extras = ""
         if self.component_cache is not None:
-            spill = "+spill" if self.component_store is not None else ""
-            extras += f", components={len(self.component_cache)}{spill}"
+            extras += f", components={len(self.component_cache)}"
         if self.store is not None:
             extras += f", store={str(self.store.path)!r}"
         if self.capabilities.conditions_cubes:

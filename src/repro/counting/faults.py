@@ -18,7 +18,7 @@ Injection points currently wired in:
 ``store-read-corrupt``
     Store reads (:class:`~repro.counting.store.CountStore`,
     :class:`~repro.counting.store.BlobStore`,
-    :class:`~repro.counting.store.ComponentStore`) raise
+    :class:`~repro.counting.store.CircuitStore`) raise
     ``sqlite3.DatabaseError`` — exercising the corrupt-row miss path and
     the ``degradations`` counters.
 ``store-disk-full``

@@ -15,7 +15,7 @@ The three modules:
     :class:`CountingServer` — accept/reader threads and one solver
     thread, bounded request queue with admission control, per-client
     in-flight budgets, signature-keyed coalescing of identical in-flight
-    requests, and graceful drain (stop accepting, finish the backlog, spill the disk
+    requests, and graceful drain (stop accepting, finish the backlog, flush the disk
     tiers via ``session.close()``).
 :mod:`~repro.counting.service.client`
     :class:`ServiceClient` — connect/request timeouts, capped

@@ -32,7 +32,7 @@ Graceful drain (SIGTERM/SIGINT, wired by ``mcml serve``): stop accepting,
 reject new work with ``shutting-down``, let the solvers finish the queued
 backlog bounded by the largest in-flight deadline plus ``drain_grace``,
 answer whatever remains with ``shutting-down``, then close the session —
-which spills the component cache and flushes every sqlite tier, so a
+which flushes every sqlite tier (counts, compilations, circuits), so a
 restarted daemon starts warm.
 
 Enforcement of limits: requests pick up ``default_deadline`` /
@@ -101,7 +101,7 @@ class CountingServer:
     ----------
     session:
         The warm session the solver thread counts through.  The server
-        *owns* it from here on: :meth:`close` closes it (spilling the
+        *owns* it from here on: :meth:`close` closes it (flushing the
         disk tiers).
     host / port:
         Bind address; port ``0`` picks a free port (:meth:`start` returns
@@ -218,8 +218,8 @@ class CountingServer:
 
         Returns True when the backlog drained inside the window; False
         when a wedged job forced the drain to abandon it.  Either way the
-        session is closed afterwards, spilling the component cache and
-        flushing every sqlite tier for the next daemon to inherit.
+        session is closed afterwards, flushing every sqlite tier for the
+        next daemon to inherit.
         """
         self.initiate_drain("drain() called")
         if timeout is None:
@@ -573,9 +573,7 @@ class CountingServer:
                 for conn, _ in waiters:
                     conn.inflight -= 1
             for conn, msg_id in waiters:
-                if self._send(conn, responder(msg_id)):
-                    conn.stats["served"] += 1
-                    self._bump("served")
+                self._send(conn, responder(msg_id), served=True)
 
     def _execute(self, job: _Job):
         """Run one job on the session; return ``msg_id -> response``."""
@@ -662,9 +660,16 @@ class CountingServer:
 
     # -- plumbing --------------------------------------------------------------------
 
-    def _send(self, conn: _Connection, envelope: dict) -> bool:
-        """Write one response line; returns False when the client is gone."""
+    def _send(self, conn: _Connection, envelope: dict, served: bool = False) -> bool:
+        """Write one response line; returns False when the client is gone.
+
+        ``served`` marks the reply to a queued job.  It is counted before
+        its bytes reach the socket, so a client that reads the reply and
+        at once asks for ``stats`` sees it; a send that fails takes the
+        count back.
+        """
         data = protocol.encode_line(envelope)
+        counted = False
         try:
             with conn.send_lock:
                 if not conn.open:
@@ -686,11 +691,21 @@ class CountingServer:
                         pass
                     conn.sock.close()
                     return False
+                if served:
+                    self._count_served(conn, 1)
+                    counted = True
                 conn.sock.sendall(data)
             return True
         except OSError:
+            if counted:
+                self._count_served(conn, -1)
             self._drop(conn)
             return False
+
+    def _count_served(self, conn: _Connection, step: int) -> None:
+        with self._counters_lock:
+            conn.stats["served"] += step
+            self._counters["served"] += step
 
     def _drop(self, conn: _Connection) -> None:
         with conn.send_lock:

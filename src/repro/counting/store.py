@@ -31,26 +31,17 @@ cache directory and a fresh process warms its translate/region memos from
 disk the way whole counts already do.  Unlike counts, compilations are
 backend-independent, so the blob store is active for *any* backend.
 
-:class:`ComponentStore` is the third tier: the disk spill of the exact
-counter's :class:`~repro.counting.component_cache.ComponentCache`.  Its
-keys are *component* keys — packed clause sets plus a projection mask, or
-the ``("elim", …)``-tagged elimination memos — whose values are pure
-functions of the key, so a spilled entry read back in a later session is
-bit-identical to a cold recount by construction.  Entries arrive on LRU
-eviction and at engine close; misses of the in-memory cache consult this
-store before declaring a component cold (see
-:meth:`ComponentCache.get`).  Because the in-memory miss path is the
-counter's hottest loop, the store keeps the set of present key digests in
-memory: a miss against an absent key costs one digest + one set probe,
-never a query.
-
-:class:`CircuitStore` is the fourth tier: compiled
+:class:`CircuitStore` is the third tier: compiled
 :class:`~repro.counting.circuit.Circuit` objects keyed on the
 :func:`signature_key` of the CNF they were compiled from.  A circuit is a
 pure function of its CNF signature, so a warm restart loads the pickle
 and performs *zero* recompilations (``EngineStats.circuit_store_hits``);
 circuits are few and large, so the tier writes through like the blob
 store.  It is only active for backends declaring ``conditions_cubes``.
+
+A cache directory written by an older version may also hold
+``components.sqlite``, a retired disk tier of the exact counter's
+component cache.  Nothing reads it any more; it may be deleted.
 
 All tiers share one implementation, :class:`_SqliteStore`: a subclass is a
 file name, a table name, a value codec and a buffering policy — the WAL
@@ -88,9 +79,6 @@ STORE_FILENAME = "counts.sqlite"
 
 #: File name of the compilation-memo database inside the cache directory.
 BLOB_STORE_FILENAME = "memos.sqlite"
-
-#: File name of the component-cache spill database inside the cache directory.
-COMPONENT_STORE_FILENAME = "components.sqlite"
 
 #: File name of the compiled-circuit database inside the cache directory.
 CIRCUIT_STORE_FILENAME = "circuits.sqlite"
@@ -199,24 +187,6 @@ def text_key(*parts: object) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def component_key_digest(key) -> str:
-    """Stable hex digest of a component-cache key.
-
-    Component keys are ``(frozenset of (pos, neg) mask clauses, proj)``
-    pairs, optionally tagged ``("elim", clauses, proj)``.  A frozenset's
-    iteration order is an implementation detail, so the clauses are sorted
-    before hashing; the masks are arbitrary-precision ints whose ``repr``
-    is already canonical.  Plain and tagged keys over the same clauses get
-    distinct digests via the tag prefix.
-    """
-    if len(key) == 2:
-        tag, clauses, proj = "", key[0], key[1]
-    else:
-        tag, clauses, proj = key[0], key[1], key[2]
-    payload = f"{tag}\x1f{proj}\x1f{sorted(clauses)!r}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 #: Absent-value sentinel for the stores' buffer probes.
 _MISSING = object()
 
@@ -231,9 +201,7 @@ class _SqliteStore:
     self-repair event counted in ``degradations``.  A subclass declares
     ``FILENAME``/``TABLE``/``VALUE_TYPE``, the value codec
     (:meth:`_encode`/:meth:`_decode`) and its buffer depth (``AUTOFLUSH``;
-    1 is write-through, one transaction per put), and may hook
-    :meth:`_drop_unencodable`/:meth:`_flush_failed` to keep auxiliary
-    indexes consistent with what actually landed on disk.
+    1 is write-through, one transaction per put).
     """
 
     FILENAME: str = ""
@@ -286,12 +254,6 @@ class _SqliteStore:
         """The sqlite cell back as a value; raise to read as a corrupt miss."""
         raise NotImplementedError
 
-    def _drop_unencodable(self, key: str) -> None:
-        """Hook: ``key``'s value refused to encode and will never be written."""
-
-    def _flush_failed(self, rows: list[tuple]) -> None:
-        """Hook: ``rows`` were attempted but the whole transaction was swallowed."""
-
     # -- reads -----------------------------------------------------------------------
 
     def get(self, key: str):
@@ -339,7 +301,7 @@ class _SqliteStore:
             try:
                 raw = self._encode(value)
             except Exception:
-                self._drop_unencodable(key)  # unencodable: simply not persisted
+                pass  # unencodable: simply not persisted
             else:
                 rows.append((key, raw))
         if rows:
@@ -353,7 +315,6 @@ class _SqliteStore:
             except sqlite3.DatabaseError:
                 # A cache write failure must never break counting.
                 self.degradations += 1
-                self._flush_failed(rows)
         # Dropped even on failure: a cache entry is always recomputable, and
         # keeping a poisoned buffer would re-fail every later flush.
         self._pending.clear()
@@ -502,109 +463,9 @@ class CircuitStore(BlobStore):
     TABLE = "circuits"
 
 
-class ComponentStore(_SqliteStore):
-    """Persistent ``component key -> cached value`` map under ``cache_dir``.
-
-    The disk-spill tier of :class:`~repro.counting.component_cache.ComponentCache`:
-    values are model counts (ints), memoized elimination results (tuples of
-    mask clauses) or the ``"unsat"`` marker, stored as pickles.  The
-    degrade-don't-fail contract matches :class:`CountStore` — a corrupted
-    database file rotates aside at open, an unreadable row reads as a miss
-    — and so does the write path (WAL, NORMAL sync, one transaction per
-    :data:`AUTOFLUSH_PUTS` buffered puts).
-
-    The set of present key digests is held in memory (loaded once at open,
-    maintained by ``put``): the caller probes misses out of the counter's
-    hottest loop, so an absent key must never cost a query.
-    """
-
-    FILENAME = COMPONENT_STORE_FILENAME
-    TABLE = "components"
-    VALUE_TYPE = "BLOB"
-
-    def __init__(self, cache_dir: str | Path) -> None:
-        super().__init__(cache_dir)
-        self._keys: set[str] = self._load_keys()
-
-    def _load_keys(self) -> set[str]:
-        try:
-            rows = self._connection.execute("SELECT key FROM components")
-            return {row[0] for row in rows}
-        except sqlite3.DatabaseError:
-            return set()
-
-    def _encode(self, value) -> sqlite3.Binary:
-        return sqlite3.Binary(pickle.dumps(value))
-
-    def _decode(self, raw):
-        return pickle.loads(raw)
-
-    def _drop_unencodable(self, digest: str) -> None:
-        self._keys.discard(digest)  # unpicklable: simply not spilled
-
-    def _flush_failed(self, rows: list[tuple]) -> None:
-        # The digests of rows that never landed must not stay "known", or
-        # put()'s dedup would block every later re-spill attempt.
-        for digest, _ in rows:
-            self._keys.discard(digest)
-
-    # -- reads -----------------------------------------------------------------------
-
-    def get(self, key):
-        """The spilled value for component ``key``, or None.
-
-        Returns None without touching sqlite when the key is known absent
-        (the digest-set probe), and on any unreadable/unpicklable row.  A
-        missing or corrupt row also drops its digest from the known set —
-        ``put`` dedups on that set, so keeping the digest would block the
-        recount's re-spill and make the corruption permanent.
-        """
-        if self._connection is None or not self._keys:
-            return None
-        digest = component_key_digest(key)
-        pending = self._pending.get(digest, _MISSING)
-        if pending is not _MISSING:
-            return pending
-        if digest not in self._keys:
-            return None
-        try:
-            _fault_read()
-            row = self._connection.execute(
-                "SELECT value FROM components WHERE key = ?", (digest,)
-            ).fetchone()
-        except sqlite3.DatabaseError:
-            self.degradations += 1
-            return None  # transient read failure: keep the digest
-        if row is None:
-            self._keys.discard(digest)  # lost row: let a re-spill repair it
-            self.degradations += 1
-            return None
-        try:
-            return pickle.loads(row[0])
-        except Exception:
-            self._keys.discard(digest)  # corrupt row: let a re-spill repair it
-            self.degradations += 1
-            return None
-
-    # -- writes ----------------------------------------------------------------------
-
-    def put(self, key, value) -> None:
-        """Spill one entry; buffered — written out every AUTOFLUSH_PUTS.
-
-        Values are pure functions of their keys, so a key already present
-        (on disk or in the buffer) is never re-stored.
-        """
-        if self._connection is None:
-            return  # closed store: a cache accepts and drops the write
-        digest = component_key_digest(key)
-        if digest in self._keys:
-            return
-        self._keys.add(digest)
-        self._pending[digest] = value
-        if len(self._pending) >= self.AUTOFLUSH:
-            self.flush()
-
-    # -- maintenance -----------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._keys)
+#: The component-cache disk tier (``components.sqlite``) is retired: the
+#: in-memory :class:`~repro.counting.component_cache.ComponentCache` drops
+#: what it evicts, and an old ``components.sqlite`` in a cache directory is
+#: ignored.  The name survives as an alias of the shared base so tools that
+#: enumerate the store classes by name keep resolving it.
+ComponentStore = _SqliteStore

@@ -68,6 +68,18 @@ def enumerate_positive_bits(
     raise ValueError(f"unknown enumeration method {method!r}")
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous 2-D uint8 array as a 1-D array of opaque
+    byte strings.
+
+    ``np.unique`` on this view finds the same first occurrences as
+    ``np.unique(rows, axis=0)`` — equal rows are equal items — but sorts
+    fixed-width byte strings instead of comparing rows column by column,
+    which is several times faster.
+    """
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
 def sample_negative_bits(
     prop: Property,
     scope: int,
@@ -110,7 +122,7 @@ def sample_negative_bits(
         # vectorised pass; rows whose first occurrence lies in the batch
         # are new, and sorting their indices keeps first-seen order.
         _, first_index = np.unique(
-            np.concatenate([seen, packed], axis=0), axis=0, return_index=True
+            row_keys(np.concatenate([seen, packed], axis=0)), return_index=True
         )
         new_index = np.sort(first_index[first_index >= len(seen)] - len(seen))
         if len(new_index) > remaining:

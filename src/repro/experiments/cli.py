@@ -99,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="persist model counts, compilations, the component-cache "
-        "spill and compiled circuits to DIR so re-runs skip the work "
-        "(default: off)",
+        help="persist model counts, compilations and compiled circuits "
+        "to DIR so re-runs skip the work; an old components.sqlite "
+        "there is ignored and may be deleted (default: off)",
     )
     parser.add_argument(
         "--component-cache-mb", type=float, default=512.0, metavar="MB",
@@ -290,7 +290,7 @@ def serve(args: argparse.Namespace, config: ExperimentConfig) -> int:
     ``drained`` on exit) so supervisors and tests can parse its lifecycle;
     everything else goes to the log on stderr.  SIGTERM/SIGINT initiate a
     graceful drain: stop accepting, finish the backlog within
-    deadline+grace, spill the disk tiers, exit 0.
+    deadline+grace, flush the disk tiers, exit 0.
     """
     import json
     import logging

@@ -64,8 +64,7 @@ class ExperimentConfig:
     component cache that lets overlapping counting problems (same φ,
     different tree regions) reuse each other's sub-counts (see
     :class:`repro.counting.EngineConfig`; 0 opts out).  ``cache_dir``
-    also holds that component cache's spill and, for a
-    ``conditions_cubes`` backend (``mcml --backend compiled``), the
+    also holds, for a ``conditions_cubes`` backend (``mcml --backend compiled``), the
     compiled circuits, so warm restarts condition without recompiling.
     ``region_strategy`` picks the AccMC/DiffMC region route
     (``"conjunction"`` or ``"per-path"``).

@@ -1,7 +1,11 @@
 """Dataset generation and split tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.counting import closed_form_count
 from repro.data import (
@@ -11,6 +15,7 @@ from repro.data import (
     sample_negative_bits,
 )
 from repro.data.dataset import PAPER_SPLIT_RATIOS
+from repro.data.generation import row_keys
 from repro.spec import SymmetryBreaking, get_property
 from repro.spec.evaluate import evaluate_bits
 
@@ -77,6 +82,47 @@ class TestNegativeSampling:
         # for far more distinct negatives than exist must fail cleanly.
         with pytest.raises(RuntimeError):
             sample_negative_bits(get_property("Reflexive"), 2, 50, rng=0, max_batches=20)
+
+
+class TestRowKeyDedup:
+    """Negative sampling dedups packed rows through a 1-D void view."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.integers(1, 11),
+        rows=st.integers(0, 80),
+        alphabet=st.integers(1, 256),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_first_index_matches_unique_over_rows(self, width, rows, alphabet, seed):
+        # A small alphabet forces repeated rows, the case dedup exists for.
+        packed = np.random.default_rng(seed).integers(
+            0, alphabet, size=(rows, width), dtype=np.uint8
+        )
+        _, expected = np.unique(packed, axis=0, return_index=True)
+        _, actual = np.unique(row_keys(packed), return_index=True)
+        np.testing.assert_array_equal(actual, expected)
+
+    #: sha256 prefixes of ``sample_negative_bits`` output, recorded with the
+    #: earlier ``np.unique(..., axis=0)`` dedup: the samples must not move.
+    PINNED = [
+        ("Reflexive", 3, 200, 1, "26a0102be94b4fc2"),
+        ("Equivalence", 4, 500, 0, "07cb5303feb1a460"),
+        ("PartialOrder", 4, 2000, 7, "32ec9bb9c7df89a3"),
+        ("Function", 2, 9, 3, "71f68cca5b3743e0"),
+        ("Transitive", 5, 300, 11, "acd5246da96bdb6b"),
+    ]
+
+    @pytest.mark.parametrize("name, scope, count, seed, digest", PINNED)
+    def test_samples_unchanged_for_fixed_seeds(self, name, scope, count, seed, digest):
+        negatives = sample_negative_bits(get_property(name), scope, count, rng=seed)
+        assert hashlib.sha256(negatives.tobytes()).hexdigest()[:16] == digest
+
+    def test_exclusion_samples_unchanged(self):
+        prop = get_property("Irreflexive")
+        first = sample_negative_bits(prop, 3, 40, rng=2)
+        second = sample_negative_bits(prop, 3, 40, rng=2, exclude=first)
+        assert hashlib.sha256(second.tobytes()).hexdigest()[:16] == "a2160a442b2a3e15"
 
 
 class TestGenerateDataset:

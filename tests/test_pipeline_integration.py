@@ -140,3 +140,89 @@ class TestBackendConsistency:
         neg = translate(prop, 3, symmetry=sb, negate=True)
         space = tseitin_cnf(sb.formula(3), num_input_vars=9)
         assert exact_count(pos.cnf) + exact_count(neg.cnf) == exact_count(space)
+
+
+class TestDatasetMemo:
+    """``MCMLPipeline.make_dataset`` builds each dataset once per pipeline."""
+
+    def test_same_key_returns_the_memoized_dataset(self):
+        pipeline = MCMLPipeline(seed=3)
+        first = pipeline.make_dataset("Function", 3, negative_ratio=2.0)
+        assert pipeline.make_dataset(get_property("Function"), 3, negative_ratio=2.0) is first
+        direct = generate_dataset(
+            get_property("Function"), 3, negative_ratio=2.0, rng=np.random.default_rng(3)
+        )
+        np.testing.assert_array_equal(first.X, direct.X)
+        np.testing.assert_array_equal(first.y, direct.y)
+        assert (first.scope, first.property_name, first.symmetry) == (3, "Function", None)
+
+    def test_memo_is_per_pipeline(self):
+        # Each session owns one pipeline: nothing is shared through module state.
+        first = MCMLPipeline(seed=0).make_dataset("Function", 3)
+        second = MCMLPipeline(seed=0).make_dataset("Function", 3)
+        assert second is not first
+        np.testing.assert_array_equal(first.X, second.X)
+
+    def test_memoized_arrays_are_read_only(self):
+        dataset = MCMLPipeline(seed=0).make_dataset("Reflexive", 3)
+        assert not dataset.X.flags.writeable and not dataset.y.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.X[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.y[0] = 0
+        # Splits and training copy, so they still work on a shared dataset.
+        train, test = dataset.split(0.5, rng=0)
+        assert train.X.flags.writeable and len(train) + len(test) == len(dataset)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": 1},
+            {"negative_ratio": 3.0},
+            {"symmetry": SymmetryBreaking()},
+            {"symmetry": SymmetryBreaking("all")},
+            {"max_positives": 10},
+            {"scope": 2},
+            {"prop": "Reflexive"},
+        ],
+        ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()),
+    )
+    def test_any_key_change_builds_a_new_entry(self, change):
+        pipeline = MCMLPipeline(seed=0)
+        args = {"prop": "Function", "scope": 3, "negative_ratio": 1.0}
+        base = pipeline.make_dataset(**args)
+        varied = dict(args, **change)
+        if "seed" in varied:
+            pipeline.seed = varied.pop("seed")
+        other = pipeline.make_dataset(**varied)
+        assert other is not base
+        assert len(pipeline._datasets) == 2
+        again = pipeline.make_dataset(**varied)
+        assert again is other
+
+    def test_whole_space_tables_generate_each_key_once(self, monkeypatch):
+        import repro.core.pipeline as pipeline_module
+        from repro.experiments.cli import run_artifact
+        from repro.experiments.config import ExperimentConfig
+
+        generated, requested = [], []
+        real_generate = pipeline_module.generate_dataset
+        real_make = MCMLPipeline.make_dataset
+
+        def generate_spy(prop, scope, **kwargs):
+            generated.append((prop.name, scope, kwargs["symmetry"],
+                              kwargs["negative_ratio"], kwargs["max_positives"]))
+            return real_generate(prop, scope, **kwargs)
+
+        def make_spy(self, *args, **kwargs):
+            requested.append(1)
+            return real_make(self, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "generate_dataset", generate_spy)
+        monkeypatch.setattr(MCMLPipeline, "make_dataset", make_spy)
+        config = ExperimentConfig(seed=0, properties=("Antisymmetric", "Function"))
+        with config.session() as session:
+            for artifact in ("table3", "table5", "table6", "table7", "table8", "table9"):
+                run_artifact(artifact, config, session=session)
+        assert generated and len(generated) == len(set(generated))
+        assert len(requested) > len(generated)  # the tables do repeat keys

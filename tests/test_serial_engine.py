@@ -16,7 +16,10 @@ runs on the caller's thread:
 * every registered backend counting on the caller's thread, starting no
   thread and no process, and giving the same values on fresh instances;
 * the removed knobs, backends and bare-int engine shims failing loudly
-  instead of being ignored or silently falling through to the backend.
+  instead of being ignored or silently falling through to the backend,
+  and the retired component-cache disk tier staying gone: no
+  ``component_store``, no spill stat, evictions dropped, and an old
+  ``components.sqlite`` left untouched.
 """
 
 import multiprocessing.process
@@ -31,6 +34,7 @@ from repro.counting import (
     ApproxMCCounter,
     Capabilities,
     CountFailure,
+    ComponentCache,
     CountingEngine,
     CountRequest,
     CountResult,
@@ -583,7 +587,10 @@ class TestRemovedKnobs:
             "serial_fallbacks",
             "component_fanouts",
             "fanout_subproblems",
+            "component_spill_hits",
         }
+        cache_stats = set(ComponentCache().stats())
+        assert not cache_stats & {"spill_hits", "spills", "spill_degradations"}
         # No routing flag, provenance field or per-route counter is left.
         for dataclass_ in (Capabilities, CountResult, EngineStats):
             routing = [
@@ -600,6 +607,31 @@ class TestRemovedKnobs:
         assert name not in BACKENDS
         with pytest.raises(ValueError, match="unknown counter"):
             make_backend(name)
+
+    @pytest.mark.parametrize("owner", ("engine", "session"))
+    def test_no_component_store(self, owner, tmp_path):
+        phi = translate(get_property("PartialOrder"), 3, symmetry=SymmetryBreaking()).cnf
+        with MCMLSession(cache_dir=tmp_path) as session:
+            session.solve(phi)
+            assert len(session.engine.component_cache) > 0
+            target = session.engine if owner == "engine" else session
+            with pytest.raises(AttributeError, match="component_store"):
+                getattr(target, "component_store")
+        # Closing writes the whole count, and no component file.
+        assert (tmp_path / "counts.sqlite").exists()
+        assert not (tmp_path / "components.sqlite").exists()
+
+    def test_old_component_file_is_ignored(self, tmp_path):
+        # A cache dir from an earlier version may hold components.sqlite,
+        # even a wrecked one: it is neither read nor rotated nor rewritten.
+        wreck = b"SQLite format 3\x00 truncated"
+        (tmp_path / "components.sqlite").write_bytes(wreck)
+        phi = translate(get_property("PartialOrder"), 3, symmetry=SymmetryBreaking()).cnf
+        with CountingEngine(config=EngineConfig(cache_dir=tmp_path)) as engine:
+            assert engine.solve(phi).value == 42
+            assert engine.stats.store_degradations == 0
+        assert (tmp_path / "components.sqlite").read_bytes() == wreck
+        assert not (tmp_path / "components.sqlite.corrupt").exists()
 
     @pytest.mark.parametrize("name", ("count", "count_many", "count_formula"))
     def test_engine_has_no_bare_int_shim(self, name):

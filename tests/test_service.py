@@ -53,10 +53,11 @@ pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExc
 
 
 def wait_until(predicate, timeout: float = 5.0) -> bool:
-    """Poll for a condition that trails the response by a GIL slice.
+    """Poll for a server-side condition that may trail the client's view.
 
-    Counters bump *after* the response line is written, so a client can
-    observe its answer a hair before the server finishes bookkeeping.
+    Replies are counted as served before they are written, but other
+    bookkeeping (a dropped connection's merge, a drain) can land a hair
+    after the client observes its answer.
     """
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -459,6 +460,56 @@ class TestStats:
         assert service["counters"]["served"] >= 1
         (client_stats,) = service["clients"].values()
         assert client_stats["requests"] >= 2  # the solve + the stats call
+
+    def test_reply_is_counted_served_before_the_client_can_read_it(
+        self, exact_service, monkeypatch
+    ):
+        # Hold the solver thread just after each successful send: a served
+        # count taken after _send returns would still read 0 when the
+        # client's very next request (stats) is answered by a reader thread.
+        _, server, host, port = exact_service
+        send = server._send
+
+        def slow_send(conn, envelope, *args, **kwargs):
+            sent = send(conn, envelope, *args, **kwargs)
+            if sent and threading.current_thread().name == "mcml-serve-solver":
+                time.sleep(0.3)
+            return sent
+
+        monkeypatch.setattr(server, "_send", slow_send)
+        with ServiceClient(host, port) as client:
+            client.count(CNF(num_vars=2, clauses=[(1, 2)]))
+            payload = client.stats()
+        assert payload["service"]["counters"]["served"] >= 1
+        (client_stats,) = payload["service"]["clients"].values()
+        assert client_stats["served"] >= 1
+
+    def test_failed_send_is_not_counted_served(self, exact_service):
+        _, server, _, _ = exact_service
+
+        class _BrokenSocket:
+            def sendall(self, data):
+                raise OSError("peer reset")
+
+            def shutdown(self, how):
+                pass
+
+            def close(self):
+                pass
+
+        class _Conn:
+            name = "broken"
+            open = True
+
+            def __init__(self):
+                self.send_lock = threading.Lock()
+                self.sock = _BrokenSocket()
+                self.stats = {"requests": 0, "served": 0, "rejected": 0, "coalesced": 0}
+
+        assert not server._send(_Conn(), protocol.ok_response(1, {}), served=True)
+        service = server.stats_payload()["service"]
+        assert service["counters"]["served"] == 0
+        assert service["clients"]["broken"]["served"] == 0
 
     def test_one_solver_thread_tracks_jobs_and_failures(self, exact_service):
         session, server, host, port = exact_service

@@ -19,8 +19,8 @@ As subprocesses, the drain guarantees of ``mcml serve``:
 
 * SIGTERM mid-batch finishes the in-flight work, answers the client, and
   exits 0 with a clean ``drained`` event;
-* the drain leaves ``components.sqlite`` warm — a restarted daemon
-  re-counts a spilled workload with ``component_spill_hits > 0``;
+* the drain leaves ``counts.sqlite`` warm — a restarted daemon answers
+  the same problem from the store, with zero backend calls;
 * the drain leaves ``circuits.sqlite`` warm — a restarted daemon answers
   the same per-path workload with ``circuit_store_hits > 0``, zero
   recompilations and zero backend calls.
@@ -275,7 +275,7 @@ class TestDrainSemantics:
                 if proc.poll() is None:
                     proc.kill()
 
-    def test_drain_leaves_component_store_warm(self, tmp_path):
+    def test_drain_leaves_count_store_warm(self, tmp_path):
         phi = _phi()
         with hard_timeout(120):
             proc, host, port = _spawn_daemon(tmp_path, "--backend", "exact")
@@ -286,10 +286,8 @@ class TestDrainSemantics:
             finally:
                 if proc.poll() is None:
                     proc.kill()
-            assert (tmp_path / "components.sqlite").exists()
-            # Remove the whole-count store so the restarted daemon must
-            # genuinely recount — through spilled components.
-            os.remove(tmp_path / "counts.sqlite")
+            assert (tmp_path / "counts.sqlite").exists()
+            assert not (tmp_path / "components.sqlite").exists()
             proc, host, port = _spawn_daemon(tmp_path, "--backend", "exact")
             try:
                 with ServiceClient(host, port, request_timeout=60) as client:
@@ -300,8 +298,9 @@ class TestDrainSemantics:
                 if proc.poll() is None:
                     proc.kill()
             assert result.value == expected
-            assert result.source == "backend"
-            assert stats["engine"]["component_spill_hits"] > 0
+            assert result.source == "store"
+            assert stats["engine"]["store_hits"] == 1
+            assert stats["engine"]["backend_calls"] == 0
 
     def test_drain_leaves_circuit_store_warm(self, tmp_path):
         import numpy as np

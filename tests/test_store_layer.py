@@ -1,8 +1,8 @@
 """Differential suite for the unified ``_SqliteStore`` layer.
 
-The three disk tiers (``CountStore``/``BlobStore``/``ComponentStore``) were
-written three times before sharing one base class; this module pins the
-externally observable behaviour each one had — corrupt-file rotation,
+The disk tiers (``CountStore``/``BlobStore``/``CircuitStore``) share one
+base class; this module pins the externally observable behaviour each one
+has — corrupt-file rotation,
 buffering depth, read-your-writes, degradation accounting under injected
 faults, closed-store semantics — so the deduplication (and any tier added
 later) is provably behaviour-preserving.
@@ -17,22 +17,17 @@ from repro.counting import faults
 from repro.counting.store import (
     AUTOFLUSH_PUTS,
     BlobStore,
-    ComponentStore,
+    CircuitStore,
     CountStore,
     _SqliteStore,
 )
 
-#: The three pre-refactor tiers the base class must reproduce bit-identically.
-TIERS = (CountStore, BlobStore, ComponentStore)
-
-
-def _component_key(n: int):
-    """A distinct, hashable component-cache key per ``n``."""
-    return (frozenset({(1 << n, 0)}), (1 << n) - 1)
+#: The disk tiers the base class serves.
+TIERS = (CountStore, BlobStore, CircuitStore)
 
 
 def _sample_key(store_cls, n: int):
-    return _component_key(n) if store_cls is ComponentStore else f"k{n}"
+    return f"k{n}"
 
 
 def _sample_value(store_cls, n: int):
@@ -198,82 +193,6 @@ class TestBlobStoreBehaviour:
         with BlobStore(tmp_path) as store:
             assert store.get("k") is None
             assert store.degradations == 1
-
-
-class TestComponentStoreBehaviour:
-    def test_puts_dedup_on_the_digest_set(self, tmp_path):
-        with ComponentStore(tmp_path) as store:
-            key = _component_key(0)
-            store.put(key, 5)
-            store.put(key, 999)  # same key: never re-stored
-            assert store.get(key) == 5
-            assert len(store) == 1
-
-    def test_len_counts_buffered_and_flushed_entries(self, tmp_path):
-        with ComponentStore(tmp_path) as store:
-            store.put(_component_key(0), 1)
-            assert len(store) == 1  # digest set, not a flushing COUNT(*)
-            assert store._pending  # still buffered
-
-    def test_warm_reopen_loads_the_digest_set(self, tmp_path):
-        with ComponentStore(tmp_path) as store:
-            store.put(_component_key(0), 11)
-        with ComponentStore(tmp_path) as store:
-            assert len(store) == 1
-            assert store.get(_component_key(0)) == 11
-            assert store.get(_component_key(1)) is None  # set probe, no query
-
-    def test_lost_row_drops_the_digest_so_a_respill_repairs(self, tmp_path):
-        with ComponentStore(tmp_path) as store:
-            store.put(_component_key(0), 11)
-        with ComponentStore(tmp_path) as store:
-            store._connection.execute("DELETE FROM components")
-            store._connection.commit()
-            assert store.get(_component_key(0)) is None
-            assert store.degradations == 1
-            assert len(store) == 0  # digest dropped...
-            store.put(_component_key(0), 11)  # ...so the re-spill is accepted
-            store.flush()
-            assert store.get(_component_key(0)) == 11
-
-    def test_corrupt_row_drops_the_digest(self, tmp_path):
-        with ComponentStore(tmp_path) as store:
-            store.put(_component_key(0), 11)
-        with sqlite3.connect(tmp_path / ComponentStore.FILENAME) as raw:
-            raw.execute("UPDATE components SET value = ?", (b"\x80garbage",))
-            raw.commit()
-        with ComponentStore(tmp_path) as store:
-            assert store.get(_component_key(0)) is None
-            assert store.degradations == 1
-            assert len(store) == 0
-
-    def test_transient_read_failure_keeps_the_digest(self, tmp_path):
-        with ComponentStore(tmp_path) as store:
-            store.put(_component_key(0), 11)
-            store.flush()
-            with faults.injected("store-read-corrupt"):
-                assert store.get(_component_key(0)) is None
-            assert store.degradations == 1
-            assert len(store) == 1  # transient: the entry is still known
-            assert store.get(_component_key(0)) == 11
-
-    def test_flush_failure_discards_attempted_digests(self, tmp_path):
-        with ComponentStore(tmp_path) as store:
-            store.put(_component_key(0), 11)
-            with faults.injected("store-disk-full"):
-                store.flush()
-            assert store.degradations == 1
-            assert len(store) == 0  # the row never landed: digest discarded
-            store.put(_component_key(0), 11)  # the retry is not dedup-blocked
-            store.flush()
-            assert store.get(_component_key(0)) == 11
-
-    def test_unpicklable_value_discards_its_digest(self, tmp_path):
-        with ComponentStore(tmp_path) as store:
-            store.put(_component_key(0), lambda: None)
-            store.flush()
-            assert len(store) == 0
-            assert store.degradations == 0
 
 
 class TestRoundTripFidelity:
